@@ -1,8 +1,8 @@
 """Host-speed probe: scale measured seconds to a fixed host speed.
 
-The benchmark shares its host with other work that slows every process on
-it by up to 2x for tens of seconds at a time.  Each timed operation is
-therefore bracketed by a probe, a fixed pure-Python loop of dict, call and
+On a shared cloud host, other tenants can slow every process by up to 2x
+for tens of seconds at a time (measured on a 2-CPU x86 VM).  Each timed
+operation is therefore bracketed by a probe, a fixed pure-Python loop of dict, call and
 attribute work that shares no code with the repository, and its seconds
 are scaled by ``REFERENCE_S / probe seconds``: the time the operation
 would have taken on a host where the probe takes ``REFERENCE_S``.  A

@@ -144,7 +144,8 @@ def run_traced(workload, seed: int) -> dict:
     traced = [_profiled(lambda: one_round(serial=True)) for _ in range(2)]
     folds = [Fold(stats) for _, stats, _ in traced]
     tallies = [tally for tally, _, _ in traced]
-    rounds = [pooled, untraced] + tallies
+    rounds = [pooled] + ([untraced] if untraced is not pooled else []) \
+        + tallies
     _check_guards(rounds)
     counters = [exact_counters(fold, tally)
                 for fold, tally in zip(folds, tallies)]
