@@ -31,6 +31,14 @@ addition is associative and nothing observes the clock mid-batch; only
 the *number* of ledger charge events changes (one per flush instead of
 one per instruction).  Set ``REPRO_NO_BATCH=1`` to fall back to the
 immediate-advance path for differential testing.
+
+The batched memory access has one source: the ``render_mem`` template,
+which renders the TLB hit, the page-table lookup and the L1 hit as
+Python lines and hands the miss sides to the components.  Compiled
+trace blocks inline those lines per access, and ``mem_access`` /
+``fetch_access`` are a closure running the same lines.  The template's
+L1 hit is an LRU move, so a machine whose L1 is not LRU runs the
+unbatched reference.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
+from repro.hw.cache import ReplacementPolicy
 from repro.hw.cpu import CostClass
 from repro.obs.ledger import Source
 from repro.vm.heap import GuestThrow
@@ -49,17 +58,41 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.interpreter import Interpreter
 
 _WORD = 8
-_PAGE_SHIFT = 12
 
 #: Accumulator slots, flushed in this (fixed, deterministic) order.
 _ACC_INSTR, _ACC_CACHE, _ACC_TLB, _ACC_BUS, _ACC_BRANCH = range(5)
 _ACC_SOURCES = (Source.INSTRUCTION, Source.CACHE, Source.TLB, Source.BUS,
                 Source.BRANCH)
 
+#: Compiled ``mem_access`` factories, keyed by their source.
+_MEM_FACTORIES: dict = {}
+
 
 def batching_enabled() -> bool:
-    """Whether new platforms use the batched charging fast path."""
+    """Whether new platforms may use the batched charging fast path
+    (``REPRO_NO_BATCH`` unset; a non-LRU L1 still runs unbatched)."""
     return os.environ.get("REPRO_NO_BATCH", "") != "1"
+
+
+def _mem_access_closure(lines: list[str], namespace: dict):
+    """A ``mem_access(vaddr)`` closure running ``lines`` over
+    ``namespace``.
+
+    The source is compiled once per distinct text, into a factory that
+    takes the namespace as arguments, so every platform after the first
+    gets its closure from a plain call.  The code carries this module's
+    filename so host profiles attribute its time to the platform.
+    """
+    source = "\n".join([f"def _factory({', '.join(sorted(namespace))}):",
+                        "    def mem_access(vaddr):"]
+                       + ["        " + line for line in lines]
+                       + ["    return mem_access"])
+    factory = _MEM_FACTORIES.get(source)
+    if factory is None:
+        scope: dict = {}
+        exec(compile(source, __file__, "exec"), scope)  # noqa: S102
+        factory = _MEM_FACTORIES[source] = scope["_factory"]
+    return factory(**namespace)
 
 
 class TimedCorePlatform(Platform):
@@ -80,9 +113,6 @@ class TimedCorePlatform(Platform):
         self.session = machine.session
         self.st_buffer = machine.st_buffer
         self.ts_buffer = machine.ts_buffer
-        # Attribution ledger, if the machine was built with observability.
-        # ``mem_access`` keeps a combined-advance fast path when absent.
-        self._ledger = machine.clock.ledger
         self.console: list = []
         self.tx_trace: list[tuple[int, bytes]] = []
         #: Set by :class:`repro.exec.Executive` when this machine hosts
@@ -102,14 +132,18 @@ class TimedCorePlatform(Platform):
         self._handlers = [getattr(self, f"_native_{spec.name}")
                           for spec in self._specs]
         # Batched-charging state.  ``_acc`` holds per-source pending
-        # cycles; ``_acc_misc`` the rare sources (gc, ...).  The class
-        # bodies below are the unbatched (immediate-advance) reference
-        # implementations; the batched fast paths are installed as
-        # instance attributes so the interpreter's hot-loop aliases pick
-        # them up transparently.
-        self.batching = batching_enabled()
+        # cycles; ``_acc_misc`` the rare sources (gc, ...);
+        # ``_stall_mark`` the bus's stall count at the last flush.  The
+        # class bodies below are the unbatched (immediate-advance)
+        # reference implementations; the batched fast paths are
+        # installed as instance attributes so the interpreter's hot-loop
+        # aliases pick them up transparently.
+        self.batching = (batching_enabled() and config.l1_config.policy
+                         is ReplacementPolicy.LRU)
         self._acc = [0, 0, 0, 0, 0]
         self._acc_misc: dict[str, int] = {}
+        self._stall_mark = self.bus.total_stall_cycles
+        self._mem_inline = None
         if self.batching:
             self._install_batched_paths()
 
@@ -124,18 +158,9 @@ class TimedCorePlatform(Platform):
                 self._registerized_base[0] <= vaddr < \
                 self._registerized_base[1]:
             return
-        if self._ledger is None:
-            cost = self.tlb.access(vaddr >> _PAGE_SHIFT)
-            paddr = self.space.translate(vaddr)
-            cost += self.hierarchy.access(paddr)
-            if cost:
-                self.clock.advance(cost)
-            return
-        # Attributed path: TLB walk, cache/DRAM latency, and the bus-stall
-        # share of DRAM fills land in their own buckets.  The split changes
-        # only bookkeeping — the summed advance is identical to the fast
-        # path, so cycle counts stay bit-identical either way.
-        tlb_cost = self.tlb.access(vaddr >> _PAGE_SHIFT)
+        # TLB walk, cache/DRAM latency, and the bus-stall share of DRAM
+        # fills land in their own buckets.
+        tlb_cost = self.tlb.access(self.space.vpn_of(vaddr))
         if tlb_cost:
             self.clock.advance(tlb_cost, Source.TLB)
         paddr = self.space.translate(vaddr)
@@ -168,24 +193,34 @@ class TimedCorePlatform(Platform):
         return list(self.cpu._cost_list)
 
     def mem_inline(self):
-        """Template for inlining the fused memory path into trace blocks.
+        """The ``render_mem`` template and its namespace, for inlining
+        the batched memory access into trace blocks.
 
-        Only available when the batched closures are installed (the
-        ``REPRO_NO_BATCH`` escape hatch also disables inlining, so the
-        unbatched reference path stays the plain closure-call form).
+        None on the unbatched reference (``REPRO_NO_BATCH=1`` or a
+        non-LRU L1), whose compiled blocks call ``mem_access`` instead.
         """
-        return getattr(self, "_mem_inline", None)
+        return self._mem_inline
 
     def flush_charges(self) -> None:
         """Drain pending batched cycles into the clock, one advance per
         source, in a fixed order.
 
         Called at every boundary where the virtual clock becomes
-        observable.  Cheap when nothing is pending; a no-op on the
-        unbatched (``REPRO_NO_BATCH=1``) path, whose accumulators never
-        fill.
+        observable.  The batched memory path charges a DRAM fill's bus
+        stall to the cache slot with the rest of the fill, so the stalls
+        counted since the last flush move to the bus slot here.  That is
+        exact: stalls arise only in ``MemoryBus.transfer_penalty``, called
+        only from ``CacheHierarchy._below_l1``, which only this
+        platform's memory path reaches.  Cheap when nothing is pending; a
+        no-op on the unbatched reference, whose accumulators never fill.
         """
         acc = self._acc
+        if self.batching:
+            stall = self.bus.total_stall_cycles - self._stall_mark
+            if stall:
+                self._stall_mark += stall
+                acc[_ACC_CACHE] -= stall
+                acc[_ACC_BUS] += stall
         advance = self.clock.advance
         for slot, source in enumerate(_ACC_SOURCES):
             pending = acc[slot]
@@ -205,18 +240,13 @@ class TimedCorePlatform(Platform):
         Closures over local aliases beat bound methods here: the
         interpreter calls ``charge``/``mem_access``/``fetch_access``
         once or more per guest instruction, so every attribute lookup
-        removed is measurable.  The no-ledger variant does no ``Source``
-        tagging at all — one plain integer add per charge — which keeps
-        the obs-off configuration inside its <5% overhead bound.
+        removed is measurable.  Every cost is one integer add to its
+        source's accumulator slot, with or without a ledger attached;
+        ``flush_charges`` splits the bus stalls out of the cache slot.
+        The memory access is built from the ``render_mem`` template that
+        compiled trace blocks inline, so the two cannot diverge.
         """
         acc = self._acc
-        instruction_cost = self.cpu.instruction_cost
-        tlb_access = self.tlb.access
-        translate = self.space.translate
-        hierarchy_access = self.hierarchy.access
-        record_branch = self.predictor.record
-        registerized = self._registerized_base
-        bus = self.bus
 
         # The per-instruction cost computation is inlined from
         # CpuModel.instruction_cost: at one call per guest instruction,
@@ -305,215 +335,68 @@ class TimedCorePlatform(Platform):
             cpu._frac = frac
             acc[_ACC_INSTR] += total
 
-        # Preconditions for the fused memory path, which inlines the TLB
-        # hit, the page-table lookup, and the L1 hit directly into one
-        # closure: LRU L1 (the inline hit does an LRU move) and the
-        # platform's fixed 4 KiB page geometry.  Anything else falls back
-        # to the generic component-call closures below.
-        l1 = self.hierarchy.l1
+        record_branch = self.predictor.record
+
+        def branch(branch_site: int, taken: bool) -> None:
+            penalty = record_branch(branch_site, taken)
+            if penalty:
+                acc[_ACC_BRANCH] += penalty
+
+        # The batched memory access as source lines over ``inline_ns``:
+        # the TLB hit, the page-table lookup and the L1 hit (an LRU move)
+        # run inline, and the miss sides go through the components, so
+        # their state evolves exactly as on the reference path.  Geometry
+        # is baked in as literals, so the rendered source is also the
+        # cache key of every artifact compiled from it.
         tlb = self.tlb
-        from repro.hw.cache import ReplacementPolicy
-        fused_ok = (l1.config.policy is ReplacementPolicy.LRU
-                    and self.space._page_shift == _PAGE_SHIFT)
-        tlb_entries = tlb._entries
-        tlb_miss = tlb.miss
-        page_table = self.space._page_table
-        l1_sets = l1._sets
-        l1_shift = l1._line_shift
-        l1_nsets = l1._num_sets
-        l1_hit_cycles = l1.config.hit_cycles
-        l1_miss_path = self.hierarchy.access_after_l1_miss
-        _page_mask = (1 << _PAGE_SHIFT) - 1
+        l1 = self.hierarchy.l1
+        space = self.space
+        inline_ns = {
+            "_tlbO": tlb, "_tlbE": tlb._entries, "_tlbM": tlb.miss,
+            "_ptg": space._page_table.get, "_xl": space.translate,
+            "_l1S": l1._sets, "_l1O": l1,
+            "_l1M": self.hierarchy.access_after_l1_miss,
+            "_l1wb": l1.take_writeback_cost, "_acc": acc,
+        }
+        page_shift = space._page_shift
+        page_mask = space.page_size - 1
+        nsets = l1._num_sets
+        registerized = self._registerized_base
 
-        if self._ledger is None:
-            # No attribution wanted: everything lands in one slot (the
-            # flush tag is ignored without a ledger), so the hot path is
-            # a plain integer add.
-            if fused_ok:
-                def mem_access(vaddr: int) -> None:
-                    if registerized is not None and \
-                            registerized[0] <= vaddr < registerized[1]:
-                        return
-                    vpn = vaddr >> _PAGE_SHIFT
-                    if vpn in tlb_entries:
-                        tlb.hits += 1
-                        del tlb_entries[vpn]
-                        tlb_entries[vpn] = True
-                        cost = 0
-                    else:
-                        cost = tlb_miss(vpn)
-                    pfn = page_table.get(vpn)
-                    if pfn is None:
-                        paddr = translate(vaddr)
-                    else:
-                        paddr = (pfn << _PAGE_SHIFT) | (vaddr & _page_mask)
-                    line = paddr >> l1_shift
-                    ways = l1_sets[line % l1_nsets]
-                    tag = line // l1_nsets
-                    if tag in ways:
-                        l1.hits += 1
-                        del ways[tag]
-                        ways[tag] = True
-                        cost += l1_hit_cycles
-                        if l1._pending_writeback:
-                            cost += l1.take_writeback_cost()
-                    else:
-                        cost += l1_miss_path(paddr, line % l1_nsets, tag)
-                    acc[_ACC_INSTR] += cost
-            else:
-                def mem_access(vaddr: int) -> None:
-                    if registerized is not None and \
-                            registerized[0] <= vaddr < registerized[1]:
-                        return
-                    cost = tlb_access(vaddr >> _PAGE_SHIFT)
-                    cost += hierarchy_access(translate(vaddr))
-                    if cost:
-                        acc[_ACC_INSTR] += cost
+        def render_mem(expr: str) -> list[str]:
+            body = [f"_avp = _am >> {page_shift}",
+                    "if _avp in _tlbE:",
+                    "    _tlbO.hits += 1",
+                    "    del _tlbE[_avp]",
+                    "    _tlbE[_avp] = True",
+                    "else:",
+                    f"    _acc[{_ACC_TLB}] += _tlbM(_avp)",
+                    "_apf = _ptg(_avp)",
+                    "if _apf is None:",
+                    "    _apa = _xl(_am)",
+                    "else:",
+                    f"    _apa = (_apf << {page_shift}) | (_am & {page_mask})",
+                    f"_ali = _apa >> {l1._line_shift}",
+                    f"_awy = _l1S[_ali % {nsets}]",
+                    f"_atg = _ali // {nsets}",
+                    "if _atg in _awy:",
+                    "    _l1O.hits += 1",
+                    "    del _awy[_atg]",
+                    "    _awy[_atg] = True",
+                    f"    _acc[{_ACC_CACHE}] += {l1.config.hit_cycles}",
+                    "    if _l1O._pending_writeback:",
+                    f"        _acc[{_ACC_CACHE}] += _l1wb()",
+                    "else:",
+                    f"    _acc[{_ACC_CACHE}] += _l1M(_apa, _ali % {nsets},"
+                    " _atg)"]
+            if registerized is not None:
+                body = ([f"if not ({registerized[0]} <= _am"
+                         f" < {registerized[1]}):"]
+                        + ["    " + line for line in body])
+            return [f"_am = {expr}"] + body
 
-            def branch(branch_site: int, taken: bool) -> None:
-                penalty = record_branch(branch_site, taken)
-                if penalty:
-                    acc[_ACC_INSTR] += penalty
-        else:
-            if fused_ok:
-                def mem_access(vaddr: int) -> None:
-                    if registerized is not None and \
-                            registerized[0] <= vaddr < registerized[1]:
-                        return
-                    vpn = vaddr >> _PAGE_SHIFT
-                    if vpn in tlb_entries:
-                        tlb.hits += 1
-                        del tlb_entries[vpn]
-                        tlb_entries[vpn] = True
-                    else:
-                        acc[_ACC_TLB] += tlb_miss(vpn)
-                    pfn = page_table.get(vpn)
-                    if pfn is None:
-                        paddr = translate(vaddr)
-                    else:
-                        paddr = (pfn << _PAGE_SHIFT) | (vaddr & _page_mask)
-                    line = paddr >> l1_shift
-                    ways = l1_sets[line % l1_nsets]
-                    tag = line // l1_nsets
-                    if tag in ways:
-                        l1.hits += 1
-                        del ways[tag]
-                        ways[tag] = True
-                        cost = l1_hit_cycles
-                        if l1._pending_writeback:
-                            cost += l1.take_writeback_cost()
-                        acc[_ACC_CACHE] += cost
-                        return
-                    # L1 misses can reach DRAM, whose fills traverse the
-                    # contended bus; split the stall share out exactly as
-                    # the unbatched path does.
-                    stall_before = bus.total_stall_cycles
-                    cost = l1_miss_path(paddr, line % l1_nsets, tag)
-                    stall = bus.total_stall_cycles - stall_before
-                    if stall:
-                        acc[_ACC_CACHE] += cost - stall
-                        acc[_ACC_BUS] += stall
-                    else:
-                        acc[_ACC_CACHE] += cost
-            else:
-                def mem_access(vaddr: int) -> None:
-                    if registerized is not None and \
-                            registerized[0] <= vaddr < registerized[1]:
-                        return
-                    tlb_cost = tlb_access(vaddr >> _PAGE_SHIFT)
-                    if tlb_cost:
-                        acc[_ACC_TLB] += tlb_cost
-                    paddr = translate(vaddr)
-                    stall_before = bus.total_stall_cycles
-                    cost = hierarchy_access(paddr)
-                    stall = bus.total_stall_cycles - stall_before
-                    if stall:
-                        acc[_ACC_CACHE] += cost - stall
-                        acc[_ACC_BUS] += stall
-                    elif cost:
-                        acc[_ACC_CACHE] += cost
-
-            def branch(branch_site: int, taken: bool) -> None:
-                penalty = record_branch(branch_site, taken)
-                if penalty:
-                    acc[_ACC_BRANCH] += penalty
-
-        # Inline-expansion template for compiled trace blocks: the same
-        # fused hit path as mem_access above, rendered as source lines
-        # so generated superinstructions avoid one closure call per
-        # memory access.  State updates are line-for-line identical to
-        # the closure, so cycle totals and hit counters cannot diverge.
-        self._mem_inline = None
-        if fused_ok:
-            ledger = self._ledger is not None
-            inline_ns = {
-                "_tlbO": tlb, "_tlbE": tlb_entries, "_tlbM": tlb_miss,
-                "_ptg": page_table.get, "_xl": translate,
-                "_l1S": l1_sets, "_l1O": l1, "_l1M": l1_miss_path,
-                "_l1wb": l1.take_writeback_cost,
-                "_acc": acc, "_busO": bus,
-            }
-
-            def render_mem(expr: str) -> list[str]:
-                lines = [f"_am = {expr}"]
-                body = [f"_avp = _am >> {_PAGE_SHIFT}",
-                        "if _avp in _tlbE:",
-                        "    _tlbO.hits += 1",
-                        "    del _tlbE[_avp]",
-                        "    _tlbE[_avp] = True"]
-                if ledger:
-                    body += ["else:",
-                             f"    _acc[{_ACC_TLB}] += _tlbM(_avp)"]
-                else:
-                    body += ["    _amc = 0",
-                             "else:",
-                             "    _amc = _tlbM(_avp)"]
-                body += ["_apf = _ptg(_avp)",
-                         "if _apf is None:",
-                         "    _apa = _xl(_am)",
-                         "else:",
-                         f"    _apa = (_apf << {_PAGE_SHIFT})"
-                         f" | (_am & {_page_mask})",
-                         f"_ali = _apa >> {l1_shift}",
-                         f"_awy = _l1S[_ali % {l1_nsets}]",
-                         f"_atg = _ali // {l1_nsets}",
-                         "if _atg in _awy:",
-                         "    _l1O.hits += 1",
-                         "    del _awy[_atg]",
-                         "    _awy[_atg] = True"]
-                if ledger:
-                    body += [f"    _amc = {l1_hit_cycles}",
-                             "    if _l1O._pending_writeback:",
-                             "        _amc += _l1wb()",
-                             f"    _acc[{_ACC_CACHE}] += _amc",
-                             "else:",
-                             "    _asb = _busO.total_stall_cycles",
-                             f"    _amc = _l1M(_apa, _ali % {l1_nsets},"
-                             " _atg)",
-                             "    _ast = _busO.total_stall_cycles - _asb",
-                             "    if _ast:",
-                             f"        _acc[{_ACC_CACHE}] += _amc - _ast",
-                             f"        _acc[{_ACC_BUS}] += _ast",
-                             "    else:",
-                             f"        _acc[{_ACC_CACHE}] += _amc"]
-                else:
-                    body += [f"    _amc += {l1_hit_cycles}",
-                             "    if _l1O._pending_writeback:",
-                             "        _amc += _l1wb()",
-                             "else:",
-                             f"    _amc += _l1M(_apa, _ali % {l1_nsets},"
-                             " _atg)",
-                             f"_acc[{_ACC_INSTR}] += _amc"]
-                if registerized is not None:
-                    lines.append(f"if not ({registerized[0]} <= _am"
-                                 f" < {registerized[1]}):")
-                    lines += ["    " + b for b in body]
-                else:
-                    lines += body
-                return lines
-
-            self._mem_inline = (render_mem, inline_ns)
-
+        self._mem_inline = (render_mem, inline_ns)
+        mem_access = _mem_access_closure(render_mem("vaddr"), inline_ns)
         self.charge = charge
         self.charge_block = charge_block
         self.mem_access = mem_access

@@ -93,6 +93,16 @@ with several experiments selected, the process exits with the highest
 status any of them returned."""
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count: an integer of at least 1, so a bad
+    count exits 2 at the boundary instead of failing mid-experiment."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def _store(args):
     """The :class:`RunStore` selected by ``--store``, or ``None``."""
     root = getattr(args, "store", None)
@@ -1191,7 +1201,7 @@ def cmd_profile(argv: list[str]) -> int:
                         metavar="DIR",
                         help="run store root; with a fresh run, also "
                              "persist its profiles")
-    parser.add_argument("--requests", type=int, default=6,
+    parser.add_argument("--requests", type=positive_int, default=6,
                         help="NFS requests for a fresh run (default 6)")
     args = parser.parse_args(argv)
     from repro.errors import ObservabilityError
@@ -1320,13 +1330,13 @@ def main(argv: list[str] | None = None) -> int:
                              "subcommand: " + ", ".join(SUBCOMMANDS))
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--runs", type=int, default=6,
+    parser.add_argument("--runs", type=positive_int, default=6,
                         help="repetitions per configuration (default 6)")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=positive_int, default=None,
                         help="worker processes for fleet-aware "
                              "experiments (default: REPRO_JOBS or the "
                              "CPU count for 'fleet', serial elsewhere)")
-    parser.add_argument("--requests", type=int, default=25,
+    parser.add_argument("--requests", type=positive_int, default=25,
                         help="NFS requests per trace (default 25)")
     parser.add_argument("--chaos-seed", type=int, default=2014,
                         help="seed for the chaos fault sweep "
@@ -1339,16 +1349,16 @@ def main(argv: list[str] | None = None) -> int:
                              "(default tdr-trace.json) and, when given "
                              "explicitly, the merged fleet trace of "
                              "'fleet-audit'")
-    parser.add_argument("--tenants", type=int, default=4,
+    parser.add_argument("--tenants", type=positive_int, default=4,
                         help="tenants simulated by 'serve' (default 4)")
-    parser.add_argument("--epochs", type=int, default=2,
+    parser.add_argument("--epochs", type=positive_int, default=2,
                         help="epochs simulated by 'serve' (default 2)")
-    parser.add_argument("--workers", type=int, default=2,
+    parser.add_argument("--workers", type=positive_int, default=2,
                         help="virtual verifier workers for 'serve' "
                              "(default 2)")
     parser.add_argument("--serve-seed", type=int, default=2014,
                         help="service seed for 'serve' (default 2014)")
-    parser.add_argument("--nodes", type=int, default=4,
+    parser.add_argument("--nodes", type=positive_int, default=4,
                         help="verifier nodes simulated by 'fleet-audit' "
                              "(default 4)")
     parser.add_argument("--chaos", default=None, metavar="PLAN",

@@ -152,8 +152,9 @@ def compile_region(function: "Function", head: int, platform: "Platform",
     base_list = platform.instruction_base_costs()
     inline = platform.mem_inline()
     # The probe render captures every constant the template bakes into
-    # the source (page geometry, set counts, ledger slots, registerized
-    # windows), making the cache key self-validating across configs.
+    # the source (page geometry, set counts, accumulator slots,
+    # registerized windows), making the cache key self-validating
+    # across configs.
     inline_sig = None if inline is None else tuple(inline[0]("_sig"))
     key = (head, max_len, extend_guards,
            None if base_list is None else tuple(base_list), inline_sig)

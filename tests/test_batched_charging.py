@@ -10,12 +10,16 @@ available behind ``REPRO_NO_BATCH=1`` as the reference.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.apps import build_nfs_program, build_nfs_workload
+from repro.apps import (build_kernel_program, build_nfs_program,
+                        build_nfs_workload)
 from repro.core.resilience import audit_resilient
-from repro.core.tdr import round_trip
+from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
+from repro.hw.cache import ReplacementPolicy
 from repro.hw.cpu import CostClass
 from repro.machine import MachineConfig
 from repro.machine.machine import Machine
@@ -108,7 +112,7 @@ def test_no_ledger_charge_is_plain_accumulation():
     and flushing advances the clock by exactly that amount."""
     machine = Machine(MachineConfig(), seed=0, mode="play")
     platform = machine.platform
-    assert platform._ledger is None
+    assert machine.clock.ledger is None
 
     before = machine.clock.cycles
     for _ in range(64):
@@ -123,3 +127,30 @@ def test_no_ledger_charge_is_plain_accumulation():
     platform.flush_charges()
     assert machine.clock.cycles == before + accumulated
     assert platform._acc[_ACC_INSTR] == 0
+
+
+def test_non_lru_l1_runs_the_unbatched_reference(monkeypatch):
+    """The batched memory template's L1 hit is an LRU move, so a machine
+    whose L1 uses another policy binds the unbatched reference and plays
+    to the same cycles as ``REPRO_NO_BATCH=1``."""
+    config = MachineConfig()
+    fifo = replace(config, l1_config=replace(config.l1_config,
+                                             policy=ReplacementPolicy.FIFO))
+    platform = Machine(fifo, seed=0, mode="play").platform
+    assert "mem_access" not in platform.__dict__
+    assert platform.mem_inline() is None
+
+    program = build_kernel_program("sor", n=16, iterations=4)
+    cycles = play(program, fifo, seed=3).total_cycles
+    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    assert play(program, fifo, seed=3).total_cycles == cycles == 878_452
+
+
+def test_mem_access_code_is_shared_across_platforms():
+    """Every platform renders the same memory template, with or without
+    a ledger, so only the first one compiles its ``mem_access``."""
+    one = Machine(MachineConfig(), seed=0, mode="play").platform
+    two = Machine(MachineConfig(), seed=1, mode="play",
+                  obs=Observability()).platform
+    assert one.mem_access is not two.mem_access
+    assert one.mem_access.__code__ is two.mem_access.__code__

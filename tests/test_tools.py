@@ -23,6 +23,28 @@ class TestReproduceCli:
         assert main(["figZ"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--requests", "-1"],
+        ["audit", "--requests", "0"],
+        ["sec65", "--requests", "0"],
+        ["fig2", "--runs", "0"],
+        ["serve", "--tenants", "0"],
+        ["serve", "--epochs", "0"],
+        ["serve", "--workers", "0"],
+        ["fleet-audit", "--nodes", "0"],
+        ["fleet", "--jobs", "0"],
+        ["profile", "--requests", "0"],
+    ])
+    def test_invalid_count_exits_usage(self, capsys, argv):
+        # Exit 1 is reserved for "flagged": a bad count is a usage error,
+        # rejected by argparse before any experiment runs.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be a positive integer" in err
+        assert "Traceback" not in err
+
     def test_runs_small_experiment(self, capsys):
         assert main(["sec65", "--requests", "8"]) == 0
         out = capsys.readouterr().out

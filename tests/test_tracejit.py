@@ -263,6 +263,25 @@ class TestUnits:
                 assert second is not first
                 assert first.n == second.n > 0
 
+    def test_artifact_cache_shared_with_ledger_runs(self):
+        """The memory template renders the same source with or without
+        a ledger, so an observed run reuses every region a plain run
+        compiled."""
+        from repro.apps import build_kernel_program
+
+        program = build_kernel_program("sor", n=16, iterations=4)
+
+        def cached() -> int:
+            return sum(len(getattr(f, "_tracejit_cache", {}))
+                       for f in program.functions)
+
+        play(program, MachineConfig(), seed=3)
+        compiled = cached()
+        assert compiled > 0
+        play(program, MachineConfig(), seed=3,
+             obs=Observability(trace=False))
+        assert cached() == compiled
+
     def test_region_summary_shape(self):
         from repro.apps import build_kernel_program
 
