@@ -60,10 +60,6 @@ class Session(abc.ABC):
         Returns the packet to deliver, or None.
         """
 
-    @abc.abstractmethod
-    def exhausted(self) -> bool:
-        """True when no further input events can arrive."""
-
     def observe_sched(self, instr_count: int, pid: int) -> None:
         """Handle an executive context-switch decision.
 
@@ -123,9 +119,6 @@ class PlaySession(Session):
         if self.tracer is not None:
             self.tracer.instant("event.sched", category="session",
                                 instr=instr_count, pid=pid)
-
-    def exhausted(self) -> bool:
-        return False  # the outside world decides when input ends
 
 
 class ReplaySession(Session):
@@ -207,21 +200,21 @@ class ReplaySession(Session):
             self.tracer.instant("event.sched", category="session",
                                 instr=instr_count, pid=pid)
 
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self.log.entries)
+    def next_packet_instr(self) -> int | None:
+        """The instruction count from which the entry at the cursor is
+        delivered, if it is a PACKET.
 
-    def packet_pending(self) -> bool:
-        """Can a packet-wait ever be satisfied from the log?
-
-        While the guest blocks inside a packet wait, nothing else can
-        consume log entries — so if the next entry is not a PACKET, the
-        wait is hopeless.  An honest log never ends up in that state (a
-        wait that was satisfied during play is fronted by its packet
-        entry); a damaged or tampered one can, and the replayed guest
-        must see "input ended" instead of polling forever.
+        None means a packet wait can never be satisfied from the log:
+        while the guest blocks inside the wait, nothing else can consume
+        log entries.  An honest log never ends up in that state (a wait
+        that was satisfied during play is fronted by its packet entry);
+        a damaged or tampered one can, and the replayed guest must see
+        "input ended" instead of polling forever.
         """
         entry = self._peek()
-        return entry is not None and entry.kind == EventKind.PACKET
+        if entry is None or entry.kind != EventKind.PACKET:
+            return None
+        return entry.instr_count
 
     def remaining_events(self) -> int:
         return len(self.log.entries) - self._cursor

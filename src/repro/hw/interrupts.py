@@ -95,6 +95,10 @@ class InterruptController:
             return float("inf")
         return interval
 
+    def next_fire_cycle(self) -> float:
+        """When the earliest pending firing is due (inf if never)."""
+        return min(self._next_fire, default=float("inf"))
+
     def pending_interference(self, now_cycles: int) -> tuple[int, int, float]:
         """IRQ interference accrued up to ``now_cycles``.
 

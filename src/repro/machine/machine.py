@@ -11,6 +11,7 @@ hardware; with the same seed it is the simulator's determinism check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.log import EventLog
@@ -246,17 +247,24 @@ class Machine:
         self.nic.schedule_rx(cycle, payload)
 
     def no_more_arrivals(self) -> bool:
-        """True when no input packet can ever appear again (play mode)."""
-        if self.st_buffer.pending or self.nic.pending_rx:
-            return False
-        return self.workload is None or self.workload.finished()
+        """True when no packet can reach a guest blocked in a wait (play).
+
+        Workloads schedule arrivals only when they start and when the
+        guest transmits, and a guest blocked in ``wait_packet`` cannot
+        transmit.  With the S-T buffer and the NIC queue both empty,
+        nothing can arrive during the wait, even if the workload still
+        awaits a reply.
+        """
+        return not (self.st_buffer.pending or self.nic.pending_rx)
 
     def service_world(self) -> None:
         """Advance the supporting core's world to the current time.
 
-        Called from the interpreter's quantum hook and from every idle
-        poll iteration: stages arrived packets, applies IRQ and preemption
-        interference, and decays bus traffic.
+        Called from the interpreter's quantum hook and from every real
+        idle poll: stages arrived packets, applies IRQ and preemption
+        interference, and decays bus traffic.  The idle polls a batched
+        platform applies in closed form call :meth:`quiet_world`
+        instead, which is exact only before :meth:`world_horizon`.
         """
         now = self.clock.cycles
         config = self.config
@@ -284,9 +292,51 @@ class Machine:
                     config.preempt_mean_interval_cycles)))
         if config.co_tenant_intensity > 0.0:
             self._co_tenant_interference(now)
+        self._decay_bus()
+
+    def _decay_bus(self) -> None:
+        """One call's bus-traffic decay, floored at the background level."""
         self.bus.decay_traffic(0.6)
-        if self.bus.traffic_level < config.background_bus_traffic:
-            self.bus.set_traffic_level(config.background_bus_traffic)
+        if self.bus.traffic_level < self.config.background_bus_traffic:
+            self.bus.set_traffic_level(self.config.background_bus_traffic)
+
+    def world_horizon(self) -> int | None:
+        """The earliest clock reading at which :meth:`service_world` does
+        more than decay the bus, or None if there is none.
+
+        That is the first reading at which it stages a packet (play), an
+        IRQ fires or a preemption is due.  The co-tenant charges every
+        call, so with one the horizon is 0.
+        """
+        config = self.config
+        if config.co_tenant_intensity > 0.0:
+            return 0
+        due = []
+        if self.is_play and self.nic.pending_rx:
+            due.append(self.nic.next_arrival_cycle()
+                       + config.sc_processing_cycles)
+        if config.irqs_enabled:
+            fire = self.irq_controller.next_fire_cycle()
+            if fire != math.inf:
+                due.append(math.ceil(fire))
+        if self._next_preempt is not None:
+            due.append(self._next_preempt)
+        return min(due, default=None)
+
+    def quiet_world(self, calls: int) -> None:
+        """Apply ``calls`` :meth:`service_world` calls that all run before
+        :meth:`world_horizon`, where each only decays the bus.
+
+        The decay is a function of the traffic level alone, so once a
+        step leaves the level unchanged (at zero or at the background
+        floor), every later step would too.
+        """
+        bus = self.bus
+        for _ in range(calls):
+            level = bus.traffic_level
+            self._decay_bus()
+            if bus.traffic_level == level:
+                return
 
     def _co_tenant_interference(self, now: int) -> None:
         """Cross-VM interference (§7 "Multi-tenancy").

@@ -10,9 +10,12 @@ Everything the paper's §3 describes comes together here:
 * conditional branches through the 2-bit predictor;
 * the S-T / T-S ring-buffer protocol with symmetric costs in play and
   replay (§3.4-3.5);
-* the blocking-receive idle loop, which advances the instruction counter
-  once per poll stride so arrivals are identifiable points (§3.2) and
-  which the *naive* replayer skips (§2.5);
+* the blocking-receive idle loop, which counts one instruction per poll
+  stride so arrivals are identifiable points (§3.2) and which the
+  *naive* replayer skips (§2.5); batched platforms apply the polls that
+  provably change nothing but the clock, the noise countdown, the hit
+  counters and the bus decay in closed form, up to the next arrival,
+  logged packet, IRQ or preemption (DESIGN §4.5);
 * the native interface (I/O, ``nano_time``, ``covert_delay``).
 
 Batched cycle charging
@@ -458,10 +461,98 @@ class TimedCorePlatform(Platform):
             self.mem_access(base + i * _WORD)
         return count
 
-    def _input_exhausted(self) -> bool:
+    def _wait_hopeless(self) -> bool:
+        """Whether a blocked packet wait can never be satisfied, so the
+        guest must see end-of-input rather than spin forever.
+
+        Play: see ``Machine.no_more_arrivals``.  Replay: the wait is
+        hopeless unless a PACKET is at the log's cursor (see
+        ``ReplaySession.next_packet_instr``).
+        """
         if self.machine.is_play:
             return self.machine.no_more_arrivals()
-        return self.session.exhausted()
+        return self.session.next_packet_instr() is None
+
+    def _skip_idle_polls(self, vm: "Interpreter", stride: int,
+                         idle: int) -> int | None:
+        """Apply in closed form the idle polls after a real one that
+        change nothing but the clock, the CPU noise countdown, the TLB
+        and L1 hit counters and the bus-traffic decay (DESIGN §4.5).
+
+        ``idle`` is what the real poll's ``scale_block`` returned.  A
+        skipped poll's S-T check hits the check line, its receive fails,
+        it charges ``scale_block(stride)`` and its ``service_world`` only
+        decays the bus, so until the next noise redraw every skipped poll
+        costs the same.  Polls are skipped only while the check line is
+        the most recently used entry of the TLB and of its L1 set and no
+        L1 writeback is pending, only before the logged packet's
+        instruction count (replay), and only while their
+        ``service_world`` would run strictly before
+        ``Machine.world_horizon``.
+
+        A poll that redraws the noise runs the real ``scale_block``
+        first, because its cost decides whether the poll is before the
+        horizon.  If it is not, that poll runs for real, and its drawn
+        cost is returned for the wait loop to charge in place of
+        ``scale_block``; otherwise None is returned.
+        """
+        machine = self.machine
+        st = self.st_buffer
+        if machine.is_play:
+            if st.pending:      # the real poll staged a packet
+                return None
+            limit = None
+        else:
+            limit = self.session.next_packet_instr() - vm.instruction_count
+        horizon = machine.world_horizon()
+        now = self.clock.cycles
+        if horizon is not None and horizon <= now:
+            return None
+        # Every check access reads the head entry's timestamp word.
+        head = st.head_vaddr()
+        accesses = len(st.check_addresses())
+        l1 = self.hierarchy.l1
+        line = self.space.translate(head) >> l1._line_shift
+        ways = l1._sets[line % l1._num_sets]
+        if (l1._pending_writeback
+                or next(reversed(ways)) != line // l1._num_sets
+                or next(reversed(self.tlb._entries))
+                != self.space.vpn_of(head)):
+            return None
+        check = accesses * l1.config.hit_cycles
+        cpu = self.cpu
+        polls = idle_cycles = 0
+        drawn = None
+        while True:
+            # The polls before the next redraw all cost check + idle.
+            n = cpu._until_redraw - 1
+            if limit is not None:
+                n = min(n, limit - polls)
+            if horizon is not None:
+                n = min(n, (horizon - now - 1) // (check + idle))
+            if n > 0:
+                cpu._instructions += n
+                cpu._until_redraw -= n
+                polls += n
+                idle_cycles += n * idle
+                now += n * (check + idle)
+            if cpu._until_redraw != 1 or polls == limit:
+                break
+            idle = cpu.scale_block(stride)
+            if horizon is not None and now + check + idle >= horizon:
+                drawn = idle
+                break
+            polls += 1
+            idle_cycles += idle
+            now += check + idle
+        if polls:
+            vm.instruction_count += polls
+            self.tlb.hits += accesses * polls
+            l1.hits += accesses * polls
+            self.clock.advance(check * polls, Source.CACHE)
+            self.clock.advance(idle_cycles, Source.IDLE)
+            machine.quiet_world(polls)
+        return drawn
 
     # -- natives ----------------------------------------------------------------------
 
@@ -520,19 +611,12 @@ class TimedCorePlatform(Platform):
     def _native_wait_packet(self, vm: "Interpreter", args: list) -> int:
         stride = self.config.poll_stride_cycles
         session = self.session
+        drawn = None
         while True:
             count = self._try_recv(vm, args[0])
             if count >= 0:
                 return count
-            if self._input_exhausted():
-                return -1
-            if (not self.machine.is_play
-                    and not session.packet_pending()):
-                # A damaged log can leave a non-PACKET entry at the
-                # cursor while the guest blocks for a packet; nothing
-                # can ever consume it, so the wait is hopeless and the
-                # guest must see end-of-input rather than spin to the
-                # instruction budget.
+            if self._wait_hopeless():
                 return -1
             if session.skips_waits:
                 target = session.wait_target(vm.instruction_count)
@@ -546,8 +630,11 @@ class TimedCorePlatform(Platform):
                 continue
             # One poll iteration = one counted point in the execution.
             vm.instruction_count += 1
-            self.clock.advance(self.cpu.scale_block(stride), Source.IDLE)
+            idle = self.cpu.scale_block(stride) if drawn is None else drawn
+            self.clock.advance(idle, Source.IDLE)
             self.machine.service_world()
+            if self.batching:
+                drawn = self._skip_idle_polls(vm, stride, idle)
 
     def _native_storage_read(self, vm: "Interpreter", args: list) -> int:
         from repro.determinism import mix64

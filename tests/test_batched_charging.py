@@ -5,28 +5,43 @@ boundaries and flushes them as one ``VirtualClock.advance`` per source.
 Integer addition is associative, so everything observable — total
 cycles, per-source ledger sums, transmission times, audit verdicts —
 must be bit-identical to the unbatched implementation, which stays
-available behind ``REPRO_NO_BATCH=1`` as the reference.
+available behind ``REPRO_NO_BATCH=1`` as the reference.  The same holds
+for the idle polls a batched ``wait_packet`` applies in closed form
+(DESIGN §4.5), whose boundaries the tests below also pin directly.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import (build_kernel_program, build_nfs_program,
-                        build_nfs_workload)
+                        build_nfs_workload, compile_app)
 from repro.core.resilience import audit_resilient
 from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
 from repro.hw.cache import ReplacementPolicy
 from repro.hw.cpu import CostClass
-from repro.machine import MachineConfig
+from repro.machine import MachineConfig, ScriptedArrivals
 from repro.machine.machine import Machine
-from repro.machine.platform import _ACC_INSTR, _ACC_SOURCES, batching_enabled
+from repro.machine.noise import NOISE_SCENARIOS, scenario_config
+from repro.machine.platform import (_ACC_INSTR, _ACC_SOURCES,
+                                    TimedCorePlatform, batching_enabled)
 from repro.obs import Observability
 
 REQUESTS = 5
+
+#: Every noise preset, plus a co-tenant (whose interference charges every
+#: ``service_world`` call, so idle polls cannot be skipped).
+PRESETS = ([pytest.param(scenario_config(s), id=s.value)
+            for s in NOISE_SCENARIOS]
+           + [pytest.param(MachineConfig(co_tenant_intensity=0.5),
+                           id="co-tenant")])
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +49,17 @@ def nfs_program():
     return build_nfs_program()
 
 
-def _round_trip(nfs_program, obs=None, schedule=None):
-    workload = build_nfs_workload(SplitMix64(7042), num_requests=REQUESTS)
-    return round_trip(nfs_program, MachineConfig(), workload=workload,
-                      play_seed=3, replay_seed=9,
+def _round_trip(nfs_program, obs=None, schedule=None, config=None,
+                requests=REQUESTS):
+    workload = build_nfs_workload(SplitMix64(7042), num_requests=requests)
+    return round_trip(nfs_program, config or MachineConfig(),
+                      workload=workload, play_seed=3, replay_seed=9,
                       covert_schedule=schedule, obs=obs)
 
 
 def _snapshot(result):
     return (result.total_cycles, result.instructions, result.tx,
-            result.tx_times_ms(), result.ledger)
+            result.tx_times_ms(), result.ledger, result.stats)
 
 
 def test_batched_matches_unbatched_with_ledger(nfs_program, monkeypatch):
@@ -57,6 +73,156 @@ def test_batched_matches_unbatched_with_ledger(nfs_program, monkeypatch):
     # number of charge *events* changes, never the cycles they carry).
     assert batched.play.ledger == unbatched.play.ledger
     assert batched.play.ledger is not None
+
+
+@pytest.mark.parametrize("config", PRESETS)
+def test_noise_presets_match_unbatched(nfs_program, monkeypatch, config):
+    """IRQs routed to the timed core, preemption, frequency noise and
+    background bus traffic all meet the idle fast-forward's horizon."""
+    batched = _round_trip(nfs_program, obs=Observability(), config=config,
+                          requests=4)
+    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    unbatched = _round_trip(nfs_program, obs=Observability(), config=config,
+                            requests=4)
+    assert _snapshot(batched.play) == _snapshot(unbatched.play)
+    assert _snapshot(batched.replay) == _snapshot(unbatched.replay)
+
+
+def test_idle_waits_skip_most_polls(nfs_program, monkeypatch):
+    """Batched waits run one real poll per horizon, not one per stride
+    (about 770 per transmitted packet without the fast-forward)."""
+    polls = 0
+    try_recv = TimedCorePlatform._try_recv
+
+    def counted(self, vm, buf_handle):
+        nonlocal polls
+        polls += 1
+        return try_recv(self, vm, buf_handle)
+
+    monkeypatch.setattr(TimedCorePlatform, "_try_recv", counted)
+    trip = _round_trip(nfs_program)
+    transmitted = len(trip.play.tx) + len(trip.replay.tx)
+    assert transmitted == 2 * REQUESTS
+    assert polls <= 50 * transmitted
+
+
+ECHO_GUEST = """
+void main() {
+    int[] buf = new int[16];
+    while (true) {
+        int n = wait_packet(buf);
+        if (n < 0) { break; }
+        send_packet(buf, n);
+    }
+    exit();
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def echo_program():
+    return compile_app(ECHO_GUEST)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stride=st.integers(min_value=1, max_value=40_000),
+       sc_cycles=st.integers(min_value=0, max_value=10_000),
+       arrivals=st.lists(st.integers(min_value=0, max_value=600),
+                         min_size=1, max_size=4),
+       scenario=st.sampled_from(NOISE_SCENARIOS),
+       sigma=st.sampled_from([0.0, 0.004]))
+def test_idle_fast_forward_matches_per_poll_loop(echo_program, stride,
+                                                 sc_cycles, arrivals,
+                                                 scenario, sigma):
+    """Any stride, staging delay, arrival schedule and noise preset: the
+    skipped polls end where the per-poll loop would.  Strides of a few
+    cycles make polls land exactly on an arrival or IRQ horizon."""
+    config = scenario_config(scenario).with_overrides(
+        poll_stride_cycles=stride, sc_processing_cycles=sc_cycles,
+        speculation_sigma=sigma)
+    # Arrival times in poll strides, so every wait is a few hundred polls.
+    schedule = [(slot * (stride + 12), bytes([i + 1] * 3))
+                for i, slot in enumerate(arrivals)]
+
+    def run():
+        trip = round_trip(echo_program, config,
+                          workload=ScriptedArrivals(list(schedule)),
+                          play_seed=5, replay_seed=6, obs=Observability())
+        return _snapshot(trip.play), _snapshot(trip.replay)
+
+    batched = run()
+    with mock.patch.dict(os.environ, {"REPRO_NO_BATCH": "1"}):
+        assert run() == batched
+    assert len(batched[0][2]) == len(arrivals)
+
+
+STRIDE = 1_000
+PER_POLL = 3 * 4 + STRIDE       # three L1 hits plus the noise-free stride
+
+
+def _after_real_poll(polls_to_horizon, extra=0, **overrides):
+    """A noise-free play machine right after a real poll, whose packet is
+    staged once ``polls_to_horizon`` whole polls (plus ``extra`` cycles)
+    have passed.  Returns the platform and a stand-in interpreter."""
+    config = MachineConfig(speculation_sigma=0.0, irqs_enabled=False,
+                           poll_stride_cycles=STRIDE, **overrides)
+    machine = Machine(config, seed=0, mode="play")
+    platform = machine.platform
+    platform._charge_st_check()
+    platform.flush_charges()
+    horizon = machine.clock.cycles + polls_to_horizon * PER_POLL + extra
+    machine.schedule_arrival(horizon - config.sc_processing_cycles, b"x")
+    return platform, SimpleNamespace(instruction_count=0)
+
+
+@pytest.mark.parametrize("extra,skipped", [(0, 4), (1, 5)])
+def test_idle_fast_forward_stops_before_the_horizon(extra, skipped):
+    """A poll whose service_world would run at the horizon runs for real."""
+    platform, vm = _after_real_poll(5, extra)
+    assert platform._skip_idle_polls(vm, STRIDE, STRIDE) is None
+    assert vm.instruction_count == skipped
+    assert platform.cpu._until_redraw == 64 - skipped
+
+
+@pytest.mark.parametrize("extra,skipped,drawn", [(0, 2, STRIDE),
+                                                 (1, 3, None)])
+def test_idle_fast_forward_redraw_at_the_horizon(extra, skipped, drawn):
+    """A redraw poll runs scale_block before its horizon check; if it
+    lands on the horizon, its drawn cost goes back to the wait loop."""
+    platform, vm = _after_real_poll(3, extra)
+    platform.cpu._until_redraw = 3
+    assert platform._skip_idle_polls(vm, STRIDE, STRIDE) == drawn
+    assert vm.instruction_count == skipped
+    assert platform.cpu._until_redraw == 64
+
+
+def _pollute_check_set(platform):
+    l1 = platform.hierarchy.l1
+    line = platform.space.translate(platform.st_buffer.head_vaddr()) \
+        >> l1._line_shift
+    l1.fill(line % l1._num_sets, 1 << 20)
+
+
+def _make_writeback_pending(platform):
+    platform.hierarchy.l1._pending_writeback = 60
+
+
+@pytest.mark.parametrize("disturb,overrides", [
+    pytest.param(_pollute_check_set, {}, id="l1-set-order"),
+    pytest.param(_make_writeback_pending, {}, id="l1-writeback"),
+    # Another page, whose line lands in another L1 set.
+    pytest.param(lambda platform: platform.mem_access(0x2000_0040), {},
+                 id="tlb-order"),
+    pytest.param(lambda platform: None, {"co_tenant_intensity": 0.5},
+                 id="co-tenant"),
+])
+def test_idle_fast_forward_preconditions(disturb, overrides):
+    """Skipped accesses must be hits that leave every order as it is, and
+    no service_world call may charge: otherwise every poll is real."""
+    platform, vm = _after_real_poll(10, **overrides)
+    disturb(platform)
+    assert platform._skip_idle_polls(vm, STRIDE, STRIDE) is None
+    assert vm.instruction_count == 0
 
 
 def test_batched_matches_unbatched_no_obs(nfs_program, monkeypatch):

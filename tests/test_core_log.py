@@ -134,7 +134,6 @@ class TestSessions:
         assert session.packet_due(25, None) is None
         assert [e.kind for e in session.log] == [EventKind.PACKET,
                                                  EventKind.TIME]
-        assert not session.exhausted()
         assert session.events_handled == 2
 
     def test_replay_injects_at_recorded_points(self):
@@ -145,7 +144,7 @@ class TestSessions:
         assert session.packet_due(29, None) is None
         assert session.packet_due(31, None) == b"req2"
         assert session.max_injection_slack == 1
-        assert session.exhausted()
+        assert session.remaining_events() == 0
 
     def test_replay_time_divergence_wrong_count(self):
         log = EventLog()

@@ -6,10 +6,12 @@ control flow taken is identical in play and replay (the fault is a
 deterministic function of guest state).
 """
 
+import signal
+
 import pytest
 
 from repro.apps import compile_app
-from repro.core.tdr import play, replay
+from repro.core.tdr import play, replay, round_trip
 from repro.determinism import SplitMix64
 from repro.errors import GuestError
 from repro.machine import InteractiveClient, MachineConfig, Request
@@ -154,3 +156,44 @@ class TestBusyCycles:
         a = play(program, config, seed=1)
         b = play(program, config, seed=2)
         assert a.total_cycles == b.total_cycles
+
+
+class TestBlockedWait:
+    def test_wait_with_nothing_in_flight_returns_minus_one(self):
+        """A guest that blocks while its client still awaits a reply sees
+        end-of-input: only a transmission can schedule the next request,
+        and a blocked guest cannot transmit.  Replay agrees, because the
+        next log entry is not a packet.  The alarm turns a hang into a
+        failure."""
+        program = compile_app("""
+        void main() {
+            int[] buf = new int[64];
+            int n = wait_packet(buf);
+            print_int(n);
+            send_packet(buf, n);
+            n = wait_packet(buf);
+            print_int(n);
+            n = wait_packet(buf);   // no reply sent: nothing can arrive
+            print_int(n);
+            print_int(nano_time() > 0);
+            exit();
+        }
+        """)
+        workload = InteractiveClient([Request(b"ping"), Request(b"pong!")],
+                                     SplitMix64(1))
+
+        def hang(signum, frame):
+            raise TimeoutError("blocked wait spun instead of returning -1")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            trip = round_trip(program, MachineConfig(), workload=workload,
+                              play_seed=0, replay_seed=9,
+                              max_instructions=2_000_000)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert trip.play.console == trip.replay.console == [4, 5, -1, 1]
+        assert trip.play.instructions == trip.replay.instructions == 817
+        assert trip.audit.is_consistent()
