@@ -120,6 +120,13 @@ class CpuTimingConfig:
             raise HardwareConfigError("quantum/period must be positive")
         if self.freq_span < 0 or self.speculation_sigma < 0:
             raise HardwareConfigError("noise scales cannot be negative")
+        # Instruction costs stay non-negative: compiled blocks carry the
+        # fractional cycle as ``x % 1.0``, which is ``x - int(x)`` only
+        # for x >= 0.
+        if self.freq_span > 1.0:
+            raise HardwareConfigError("frequency span cannot exceed 1.0")
+        if min(self.costs.values(), default=0) < 0:
+            raise HardwareConfigError("instruction costs cannot be negative")
 
 
 class CpuModel:

@@ -41,11 +41,16 @@ Python lines and hands the miss sides to the components.  Compiled
 trace blocks inline those lines per access, and ``mem_access`` /
 ``fetch_access`` are a closure running the same lines.  The template's
 L1 hit is an LRU move, so a machine whose L1 is not LRU runs the
-unbatched reference.
+unbatched reference.  Compiled blocks get two more templates
+(DESIGN §4.3): the repeat hit, for an access to the line the previous
+access touched, and ``render_charge``, the closed-form block charge
+that ``charge_block`` also runs when no noise redraw falls inside the
+block.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import TYPE_CHECKING
 
@@ -54,7 +59,9 @@ from repro.hw.cpu import CostClass
 from repro.obs.ledger import Source
 from repro.vm.heap import GuestThrow
 from repro.vm.isa import EXC_INDEX_OUT_OF_BOUNDS, EXC_NULL_REFERENCE
-from repro.vm.platform import Platform
+from repro.vm.interpreter import (FRAME_STRIDE_SLOTS, STACK_BASE,
+                                  THREAD_STACK_STRIDE)
+from repro.vm.platform import MemInline, Platform
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -67,8 +74,17 @@ _ACC_INSTR, _ACC_CACHE, _ACC_TLB, _ACC_BUS, _ACC_BRANCH = range(5)
 _ACC_SOURCES = (Source.INSTRUCTION, Source.CACHE, Source.TLB, Source.BUS,
                 Source.BRANCH)
 
-#: Compiled ``mem_access`` factories, keyed by their source.
-_MEM_FACTORIES: dict = {}
+#: Every frame base (``ThreadState.frame_base``) is a multiple of this.
+_FRAME_ALIGN = math.gcd(STACK_BASE, THREAD_STACK_STRIDE,
+                        FRAME_STRIDE_SLOTS * _WORD)
+
+#: Compiled factories of the generated closures, keyed by their source.
+_FACTORIES: dict = {}
+
+#: The fractional carry after one instruction of base cost ``{}`` under
+#: the combined noise factor ``_cc``: ``CpuModel.instruction_cost``'s
+#: ``x - int(x)`` step as ``x % 1.0``, which is the same float for x >= 0.
+_CARRY = "_cf = ({} * _cc + _cf) % 1.0"
 
 
 def batching_enabled() -> bool:
@@ -77,24 +93,68 @@ def batching_enabled() -> bool:
     return os.environ.get("REPRO_NO_BATCH", "") != "1"
 
 
-def _mem_access_closure(lines: list[str], namespace: dict):
-    """A ``mem_access(vaddr)`` closure running ``lines`` over
-    ``namespace``.
+def _closed_form(n, total, steps: list[str]) -> list[str]:
+    """Lines charging ``n`` instructions of base-cost sum ``total`` when
+    no noise redraw falls among them; ``steps`` advance the carry ``_cf``
+    over the instructions with :data:`_CARRY` (DESIGN §4.3)."""
+    return (["_cc = _cpu._combined",
+             "_cf = _cf0 = _cpu._frac"]
+            + steps
+            + ["_cpu._frac = _cf",
+               f"_cpu._until_redraw -= {n}",
+               f"_cpu._instructions += {n}",
+               f"_acc[{_ACC_INSTR}] += round(_cc * {total} + _cf0 - _cf)"])
+
+
+def render_charge(bases, fallback: str) -> list[str]:
+    """Lines charging an instruction stream of base costs ``bases``: in
+    closed form when no noise redraw falls inside it, else by running
+    the source line ``fallback``."""
+    n = len(bases)
+    return ([f"if _cpu._until_redraw > {n}:"]
+            + ["    " + line for line in _closed_form(
+                n, sum(bases), [_CARRY.format(b) for b in bases])]
+            + ["else:", "    " + fallback])
+
+
+#: The batched ``charge_block(cost_classes, base_costs=None,
+#: base_total=None)``: the closed form of :func:`render_charge` over a
+#: loop, and ``_redrawing`` when a noise redraw falls inside the block.
+_CHARGE_BLOCK = (["n = len(cost_classes)",
+                  "if base_costs is None:",
+                  "    base_costs = [_costs[c] for c in cost_classes]",
+                  "if base_total is None:",
+                  "    base_total = sum(base_costs)",
+                  "if _cpu._until_redraw <= n:",
+                  "    return _redrawing(base_costs)"]
+                 + _closed_form("n", "base_total",
+                                ["for _cb in base_costs:",
+                                 "    " + _CARRY.format("_cb")]))
+
+
+def _generated_paths(mem_lines: list[str], namespace: dict):
+    """The ``(mem_access, charge_block)`` closures over ``namespace``:
+    ``mem_access(vaddr)`` runs ``mem_lines``, ``charge_block`` runs
+    :data:`_CHARGE_BLOCK`.
 
     The source is compiled once per distinct text, into a factory that
     takes the namespace as arguments, so every platform after the first
-    gets its closure from a plain call.  The code carries this module's
+    gets its closures from a plain call.  The code carries this module's
     filename so host profiles attribute its time to the platform.
     """
-    source = "\n".join([f"def _factory({', '.join(sorted(namespace))}):",
-                        "    def mem_access(vaddr):"]
-                       + ["        " + line for line in lines]
-                       + ["    return mem_access"])
-    factory = _MEM_FACTORIES.get(source)
+    source = "\n".join(
+        [f"def _factory({', '.join(sorted(namespace))}):",
+         "    def mem_access(vaddr):"]
+        + ["        " + line for line in mem_lines]
+        + ["    def charge_block(cost_classes, base_costs=None,"
+           " base_total=None):"]
+        + ["        " + line for line in _CHARGE_BLOCK]
+        + ["    return mem_access, charge_block"])
+    factory = _FACTORIES.get(source)
     if factory is None:
         scope: dict = {}
         exec(compile(source, __file__, "exec"), scope)  # noqa: S102
-        factory = _MEM_FACTORIES[source] = scope["_factory"]
+        factory = _FACTORIES[source] = scope["_factory"]
     return factory(**namespace)
 
 
@@ -125,7 +185,6 @@ class TimedCorePlatform(Platform):
         # not touch the memory hierarchy (Table 2's Oracle-JIT model).
         from repro.machine.config import RuntimeKind
         from repro.vm.heap import HEAP_BASE
-        from repro.vm.interpreter import STACK_BASE
 
         self._registerized_base = ((STACK_BASE, HEAP_BASE)
                                    if config.runtime == RuntimeKind.ORACLE_JIT
@@ -195,12 +254,14 @@ class TimedCorePlatform(Platform):
         """Noise-free base costs per :class:`CostClass` (dense list)."""
         return list(self.cpu._cost_list)
 
-    def mem_inline(self):
-        """The ``render_mem`` template and its namespace, for inlining
-        the batched memory access into trace blocks.
+    def mem_inline(self) -> MemInline | None:
+        """The batched templates (``render_mem``, the repeat hit,
+        ``render_charge``) and their namespace, for inlining memory
+        accesses and the block charge into trace blocks.
 
         None on the unbatched reference (``REPRO_NO_BATCH=1`` or a
-        non-LRU L1), whose compiled blocks call ``mem_access`` instead.
+        non-LRU L1), whose compiled blocks call ``mem_access`` and
+        ``charge_block`` instead.
         """
         return self._mem_inline
 
@@ -247,7 +308,9 @@ class TimedCorePlatform(Platform):
         source's accumulator slot, with or without a ledger attached;
         ``flush_charges`` splits the bus stalls out of the cache slot.
         The memory access is built from the ``render_mem`` template that
-        compiled trace blocks inline, so the two cannot diverge.
+        compiled trace blocks inline, and ``charge_block``'s no-redraw
+        case from the closed form ``render_charge`` inlines, so neither
+        pair can diverge.
         """
         acc = self._acc
 
@@ -281,59 +344,33 @@ class TimedCorePlatform(Platform):
             cpu._frac = exact - cost
             acc[_ACC_INSTR] += cost
 
-        # Block-level charging for the trace-compiling tier-up.  The
-        # fast path is provably exact: with no pending fractional carry,
-        # a unit combined factor, and no redraw point inside the block
-        # (``_until_redraw > n`` — the redraw fires when the countdown
-        # *reaches* zero, before the cost is read), every one of the n
-        # per-instruction charges would have returned its base cost
-        # unchanged.  Otherwise the loop replays the per-instruction
-        # computation exactly — same counter updates, same redraw
-        # points, same Bresenham carry — so cycle totals are
-        # bit-identical to n individual charge() calls either way.
-        def charge_block(cost_classes, base_costs=(),
-                         base_total: int = 0) -> None:
-            n = len(cost_classes)
-            if cpu._combined == 1.0 and cpu._frac == 0.0 \
-                    and cpu._until_redraw > n:
-                cpu._instructions += n
-                cpu._until_redraw -= n
-                acc[_ACC_INSTR] += base_total
-                return
-            if len(base_costs) != n:
-                base_costs = [cost_list[c] for c in cost_classes]
-            # Replay loop on locals; _recompute_noise only touches the
-            # factor fields, so the countdown and fractional carry can
-            # live in registers and be written back once.  With no
-            # redraw point inside the block the noise factor is constant
-            # and the countdown moves in one step, leaving only the
-            # Bresenham carry to replay per instruction.
+        # ``charge_block`` with a noise redraw inside the block (its
+        # no-redraw case is the closed form of ``_CHARGE_BLOCK``) replays
+        # the per-instruction computation exactly — same counter
+        # updates, same redraw points, same Bresenham carry — so cycle
+        # totals are bit-identical to n individual charge() calls.
+        def charge_redrawing(base_costs) -> None:
+            # _recompute_noise only touches the factor fields, so the
+            # countdown and fractional carry live in locals and are
+            # written back once.
             total = 0
             until = cpu._until_redraw
             combined = cpu._combined
             frac = cpu._frac
-            if until > n:
-                for base in base_costs:
-                    exact = base * combined + frac
-                    cost = int(exact)
-                    frac = exact - cost
-                    total += cost
-                until -= n
-            else:
-                for base in base_costs:
-                    until -= 1
-                    if until == 0:
-                        until = speculation_period
-                        recompute_noise()
-                        combined = cpu._combined
-                    if combined == 1.0 and frac == 0.0:
-                        total += base
-                        continue
-                    exact = base * combined + frac
-                    cost = int(exact)
-                    frac = exact - cost
-                    total += cost
-            cpu._instructions += n
+            for base in base_costs:
+                until -= 1
+                if until == 0:
+                    until = speculation_period
+                    recompute_noise()
+                    combined = cpu._combined
+                if combined == 1.0 and frac == 0.0:
+                    total += base
+                    continue
+                exact = base * combined + frac
+                cost = int(exact)
+                frac = exact - cost
+                total += cost
+            cpu._instructions += len(base_costs)
             cpu._until_redraw = until
             cpu._frac = frac
             acc[_ACC_INSTR] += total
@@ -359,7 +396,7 @@ class TimedCorePlatform(Platform):
             "_ptg": space._page_table.get, "_xl": space.translate,
             "_l1S": l1._sets, "_l1O": l1,
             "_l1M": self.hierarchy.access_after_l1_miss,
-            "_l1wb": l1.take_writeback_cost, "_acc": acc,
+            "_l1wb": l1.take_writeback_cost, "_acc": acc, "_cpu": cpu,
         }
         page_shift = space._page_shift
         page_mask = space.page_size - 1
@@ -398,8 +435,37 @@ class TimedCorePlatform(Platform):
                         + ["    " + line for line in body])
             return [f"_am = {expr}"] + body
 
-        self._mem_inline = (render_mem, inline_ns)
-        mem_access = _mem_access_closure(render_mem("vaddr"), inline_ns)
+        # Repeat-line elision (DESIGN §4.3).  After any access its page
+        # is the TLB's most recently used entry, its line the most
+        # recently used way of its L1 set, and no L1 writeback is
+        # pending, so the next access to that line only counts two hits
+        # and charges the hit latency.  Keys are static line numbers:
+        # constant addresses (globals, code) directly, and frame slots
+        # as offsets from the frame base, a multiple of ``_FRAME_ALIGN``.
+        # A line larger than the page is not confined to one page, and a
+        # frame slot of the Oracle-JIT model is an access only in frames
+        # beyond the registerized window, so those render in full.
+        line_shift = l1._line_shift
+        same_page = line_shift <= page_shift
+        frame_keys = (same_page and registerized is None
+                      and _FRAME_ALIGN % l1.config.line_bytes == 0)
+
+        def line_key(addr: int, frame: bool = False):
+            if frame:
+                return ("frame", addr >> line_shift) if frame_keys else None
+            if not same_page or (registerized is not None and
+                                 registerized[0] <= addr < registerized[1]):
+                return None
+            return addr >> line_shift
+
+        hit = ("_tlbO.hits += 1", "_l1O.hits += 1",
+               f"_acc[{_ACC_CACHE}] += {l1.config.hit_cycles}")
+        mem_lines = render_mem("vaddr")
+        self._mem_inline = MemInline(render_mem, hit, render_charge, line_key,
+                                     inline_ns, (*mem_lines, *hit))
+        mem_access, charge_block = _generated_paths(
+            mem_lines, {**inline_ns, "_costs": cost_list,
+                        "_redrawing": charge_redrawing})
         self.charge = charge
         self.charge_block = charge_block
         self.mem_access = mem_access

@@ -9,12 +9,38 @@ the VM unit tests and by quick functional runs where timing is irrelevant.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.hw.cpu import CostClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.interpreter import Interpreter
+
+
+class MemInline(NamedTuple):
+    """Source templates a batched platform lends to compiled trace
+    blocks (DESIGN §4.3), and the namespace their lines reference."""
+
+    #: ``mem(expr)``: lines charging a memory access at address
+    #: ``expr``, with state updates identical to ``mem_access``.
+    mem: Callable[[str], list]
+    #: Lines charging an access to the line the previous access on the
+    #: same path touched.
+    hit: tuple
+    #: ``charge(bases, fallback)``: lines charging an instruction stream
+    #: of base costs ``bases`` in closed form, running the source line
+    #: ``fallback`` instead when a noise redraw falls inside it.
+    charge: Callable[[tuple, str], list]
+    #: ``line_key(addr, frame=False)``: the static L1-line key of an
+    #: access at constant address ``addr`` (at offset ``addr`` from the
+    #: frame base when ``frame``), or None when the access must render
+    #: through ``mem``.  Two consecutive accesses on one path with equal
+    #: keys touch the same line.
+    line_key: Callable[..., object]
+    namespace: dict
+    #: Everything the templates bake into their source (the compile-cache
+    #: key of the blocks rendered from them).
+    signature: tuple
 
 
 class Platform(abc.ABC):
@@ -50,16 +76,16 @@ class Platform(abc.ABC):
         ignore it.
         """
 
-    def charge_block(self, cost_classes, base_costs=(),
-                     base_total: int = 0) -> None:
+    def charge_block(self, cost_classes, base_costs=None,
+                     base_total: int | None = None) -> None:
         """Charge a compiled block's instruction stream in one call.
 
         The reference implementation simply replays :meth:`charge` per
         instruction, so any platform is automatically correct under the
         trace-compiling tier-up; timed platforms may install a batched
-        override that charges ``base_total`` (the pre-summed noise-free
-        base cost of ``cost_classes``; ``base_costs`` is the per-
-        instruction base-cost tuple) in one add when no noise applies.
+        override that uses ``base_costs`` (the per-instruction noise-free
+        base costs of ``cost_classes``) and ``base_total`` (their sum),
+        deriving both when they are omitted.
         """
         charge = self.charge
         for cost_class in cost_classes:
@@ -75,14 +101,12 @@ class Platform(abc.ABC):
         """
         return None
 
-    def mem_inline(self):
-        """Source template for inlining ``mem_access`` into trace blocks.
+    def mem_inline(self) -> MemInline | None:
+        """Source templates for inlining memory accesses and the block
+        charge into trace blocks, as a :class:`MemInline`.
 
-        Returns ``(render, namespace)`` where ``render(expr)`` yields
-        source lines charging a memory access at address ``expr`` with
-        state updates identical to :meth:`mem_access`, and ``namespace``
-        holds the objects those lines reference.  ``None`` (the default)
-        makes compiled blocks call :meth:`mem_access` per access.
+        ``None`` (the default) makes compiled blocks call
+        :meth:`mem_access` per access and :meth:`charge_block` per block.
         """
         return None
 

@@ -4,10 +4,14 @@ The interpreter's dispatch loop costs tens of host operations per guest
 bytecode.  For hot code — detected by the opcode sampler that already
 piggybacks on the platform-poll branch — this module compiles
 straight-line bytecode regions into fused Python closures
-("superinstructions"): one generated function executes the whole region,
-pre-sums the region's per-instruction cycle costs, and charges the
-platform once per block entry (:meth:`Platform.charge_block`) instead of
-once per instruction.
+("superinstructions"): one generated function executes the whole region
+and pre-sums its per-instruction cycle costs.  On a batched platform the
+block inlines the platform's templates (:meth:`Platform.mem_inline`):
+each memory access, rendered as a repeat hit when it touches the line
+the previous access on its path touched, and the block's charge, in
+closed form unless a noise redraw falls inside the block.  Otherwise the
+block calls :meth:`Platform.charge_block` once per execution instead of
+charging once per instruction.
 
 Time determinism is the design constraint, not an afterthought:
 
@@ -18,10 +22,17 @@ Time determinism is the design constraint, not an afterthought:
   operand stack must be deep enough for the region's worst-case pops.
   Anything else falls back to the reference interpreter for that entry.
 
-* **Exact charge replay.**  ``charge_block`` either takes a noise-free
-  fast path (provably equal to per-instruction charging) or replays the
-  per-instruction cost computation exactly — same redraw points, same
-  Bresenham fractional carry — so cycles are bit-identical either way.
+* **Exact charge replay.**  With no noise redraw inside the block, the
+  inline charge and ``charge_block`` step only the fractional carry per
+  instruction and scale the pre-summed total once; otherwise
+  ``charge_block`` replays the per-instruction cost computation — same
+  redraw points, same Bresenham carry.  Cycles are bit-identical either
+  way (DESIGN §4.3).
+
+* **Exact repeat hits.**  After any access its page and line are the
+  most recently used entries of the TLB and of their L1 set, with no
+  writeback pending, so the next access to the same line only counts
+  two hits and charges the L1 hit latency (DESIGN §4.3).
 
 * **Side exits.**  Every fault-capable instruction records its offset
   before executing; on a guest throw the generated code charges the
@@ -151,13 +162,13 @@ def compile_region(function: "Function", head: int, platform: "Platform",
     """
     base_list = platform.instruction_base_costs()
     inline = platform.mem_inline()
-    # The probe render captures every constant the template bakes into
-    # the source (page geometry, set counts, accumulator slots,
+    # The templates' signature captures every constant they bake into
+    # the source (page and line geometry, set counts, accumulator slots,
     # registerized windows), making the cache key self-validating
     # across configs.
-    inline_sig = None if inline is None else tuple(inline[0]("_sig"))
     key = (head, max_len, extend_guards,
-           None if base_list is None else tuple(base_list), inline_sig)
+           None if base_list is None else tuple(base_list),
+           None if inline is None else inline.signature)
     cache = getattr(function, "_tracejit_cache", None)
     if cache is None:
         cache = {}
@@ -180,7 +191,7 @@ def compile_region(function: "Function", head: int, platform: "Platform",
     ns["_branch"] = platform.branch
     ns["_charge_block"] = platform.charge_block
     if inline is not None:
-        ns.update(inline[1])
+        ns.update(inline.namespace)
     exec(art["code"], ns)  # noqa: S102 - generated from a fixed template
     block.run = ns["_block"]
     return block
@@ -274,12 +285,15 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         "_M": (1 << 64) - 1, "_S": 1 << 63, "_W": 1 << 64,
     }
 
-    # Platforms may provide a source template for the memory path, in
-    # which case every data access and fetch is expanded inline instead
-    # of calling the mem_access closure once per access.
+    # Platforms may provide source templates for the memory path and the
+    # block charge, in which case every data access and fetch is
+    # expanded inline instead of calling the mem_access closure once per
+    # access.  An access to the line of the access rendered just before
+    # it on the same path renders as a repeat hit (DESIGN §4.3):
+    # ``last_key`` is that line's static key, None at the top of the
+    # block and of a self-loop body, and after any access without one.
     inline = platform.mem_inline()
-    if inline is not None:
-        render_mem = inline[0]
+    last_key = None
 
     body: list[str] = []
     #: Compile-time model of the operand stack: entry slots ``_e*`` then
@@ -292,16 +306,28 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     cond_value: str | None = None
     code_window = CODE_BASE + function.index * CODE_STRIDE
 
-    def emit_mem(expr) -> None:
-        if inline is not None:
-            body.extend(render_mem(str(expr)))
-        else:
+    def access_lines(expr, key) -> list[str]:
+        if key is not None and key == last_key:
+            return list(inline.hit)
+        return inline.mem(str(expr))
+
+    def emit_mem(expr, key=None) -> None:
+        nonlocal last_key
+        if inline is None:
             body.append(f"_mem({expr})")
+            return
+        body.extend(access_lines(expr, key))
+        last_key = key
 
     def fetch_lines(addr: int, ind: str = "") -> list[str]:
-        if inline is not None:
-            return [ind + line for line in render_mem(str(addr))]
-        return [f"{ind}_fetch({addr})"]
+        # Fetches of branch targets end their path: they never become
+        # the previous access of another.
+        if inline is None:
+            return [f"{ind}_fetch({addr})"]
+        return [ind + line for line in access_lines(addr, line_key(addr))]
+
+    def line_key(addr: int, frame: bool = False):
+        return None if inline is None else inline.line_key(addr, frame)
 
     def vpop() -> str:
         return vstack.pop()
@@ -363,11 +389,13 @@ def _build_region(function: "Function", head: int, platform: "Platform",
             continue
         if op is Op.LOAD:
             uses_locals = True
-            emit_mem(f"_base + {arg * _WORD}")
+            offset = arg * _WORD
+            emit_mem(f"_base + {offset}", line_key(offset, frame=True))
             body.append(f"{vpush()} = _L[{arg}]")
         elif op is Op.STORE:
             uses_locals = True
-            emit_mem(f"_base + {arg * _WORD}")
+            offset = arg * _WORD
+            emit_mem(f"_base + {offset}", line_key(offset, frame=True))
             body.append(f"_L[{arg}] = {vpop()}")
         elif op is Op.ICONST or op is Op.FCONST:
             # The constant itself becomes the stack slot: every vstack
@@ -465,11 +493,13 @@ def _build_region(function: "Function", head: int, platform: "Platform",
             body.append(f"{vpush()} = _cos({a})")
         elif op is Op.GLOAD:
             uses_globals = True
-            emit_mem(GLOBALS_BASE + arg * _WORD)
+            addr = GLOBALS_BASE + arg * _WORD
+            emit_mem(addr, line_key(addr))
             body.append(f"{vpush()} = _G[{arg}]")
         elif op is Op.GSTORE:
             uses_globals = True
-            emit_mem(GLOBALS_BASE + arg * _WORD)
+            addr = GLOBALS_BASE + arg * _WORD
+            emit_mem(addr, line_key(addr))
             body.append(f"_G[{arg}] = {vpop()}")
         elif op is Op.POP:
             vpop()  # the value was already computed; discarding is free
@@ -509,12 +539,17 @@ def _build_region(function: "Function", head: int, platform: "Platform",
              and args[terminator_pc] == head
              and len(vstack) == need)
 
-    charge_lines = ["_charge_block(_CLS, _BAS, _TOT)",
-                    f"vm.instruction_count += {n}",
-                    f"thread.executed += {n}",
-                    "_B.entries += 1",
-                    f"_B.instructions += {n}",
-                    "_B.cycles += _TOT"]
+    # The block charge runs inline in closed form unless a noise redraw
+    # falls inside the block; side exits charge their prefix through
+    # ``charge_block``.
+    charge = "_charge_block(_CLS, _BAS, _TOT)"
+    charge_lines = ([charge] if inline is None
+                    else inline.charge(bases, charge))
+    charge_lines += [f"vm.instruction_count += {n}",
+                     f"thread.executed += {n}",
+                     "_B.entries += 1",
+                     f"_B.instructions += {n}",
+                     "_B.cycles += _TOT"]
     pushback = []
     if len(vstack) == 1:
         pushback.append(f"_s.append({vstack[0]})")

@@ -279,6 +279,15 @@ class TestCpuModel:
         with pytest.raises(HardwareConfigError):
             CpuTimingConfig(speculation_sigma=-0.1)
 
+    def test_config_keeps_costs_non_negative(self):
+        """A frequency factor of 1 - span, or a negative base cost,
+        would make an instruction cost negative cycles."""
+        with pytest.raises(HardwareConfigError):
+            CpuTimingConfig(freq_span=1.5)
+        with pytest.raises(HardwareConfigError):
+            CpuTimingConfig(costs={c: -1 for c in CostClass})
+        assert CpuTimingConfig(freq_span=1.0).freq_span == 1.0
+
 
 class TestInterrupts:
     def test_no_sources_no_interference(self):

@@ -12,18 +12,26 @@ available behind ``REPRO_NO_JIT=1`` as the differential reference
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.parallel import MachineSpec, run_fleet
-from repro.apps import build_nfs_program, build_nfs_workload, compile_app
+from repro.apps import (build_kernel_program, build_nfs_program,
+                        build_nfs_workload, compile_app)
 from repro.core.resilience import audit_resilient
 from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
 from repro.faults import standard_fault_kinds
-from repro.machine import MachineConfig
+from repro.hw.cpu import CostClass
+from repro.machine import MachineConfig, NoiseScenario, scenario_config
+from repro.machine.config import RuntimeKind
 from repro.machine.machine import Machine
+from repro.machine.platform import _ACC_INSTR, TimedCorePlatform
 from repro.obs import Observability
-from repro.vm.tracejit import _MIN_BLOCK, compile_region, jit_enabled
+from repro.vm.tracejit import (_MIN_BLOCK, _build_region, compile_region,
+                               jit_enabled)
 
 REQUESTS = 5
 CHAOS_SEED = 20141006
@@ -230,6 +238,30 @@ class TestUnits:
         assert one.clock.cycles == two.clock.cycles
         assert one.clock.cycles > 0
 
+    @pytest.mark.parametrize("batched", (True, False))
+    @pytest.mark.parametrize("sigma", (0.0, 0.004))
+    def test_charge_block_derives_omitted_costs(self, monkeypatch, sigma,
+                                                batched):
+        """``charge_block(classes)`` charges what one ``charge`` per
+        instruction does.  A noise-free batched core used to take its
+        fast path and add the ``base_total`` default of 0."""
+        if batched:
+            monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NO_BATCH", "1")
+        classes = (CostClass.ALU,) * 5
+        config = MachineConfig(speculation_sigma=sigma)
+        one = Machine(config, seed=5, mode="play")
+        two = Machine(config, seed=5, mode="play")
+        for cls in classes:
+            one.platform.charge(cls)
+        two.platform.charge_block(classes)
+        one.platform.flush_charges()
+        two.platform.flush_charges()
+        assert two.clock.cycles == one.clock.cycles
+        if sigma == 0.0:
+            assert one.clock.cycles == 70
+
     def test_compile_region_skips_tiny_regions(self):
         from repro.asm import assemble
         from repro.vm import NullPlatform
@@ -417,3 +449,206 @@ class TestUnits:
         assert summary["side_exits"] == raw["side_exits"]
         assert summary["jit_instructions"] == raw["instructions"]
         assert summary["jit_cycles"] == raw["cycles"]
+
+
+#: Starting carries at the edges of [0, 1), and anywhere inside.
+CARRIES = st.one_of(st.sampled_from((0.0, 2.0 ** -52, 1.0 - 2.0 ** -52)),
+                    st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(runtime=st.sampled_from((RuntimeKind.SANITY, RuntimeKind.ORACLE_JIT)),
+       classes=st.lists(st.sampled_from(list(CostClass)), min_size=1,
+                        max_size=64),
+       sigma=st.sampled_from((0.0, 0.004)), turbo=st.booleans(),
+       freq_scaling=st.booleans(), carry=CARRIES,
+       until=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
+def test_closed_form_charge_matches_instruction_cost(runtime, classes, sigma,
+                                                     turbo, freq_scaling,
+                                                     carry, until, seed):
+    """The block charge a compiled block inlines (``render_charge``) and
+    ``charge_block`` leave a CPU exactly where ``len(bases)`` calls of
+    ``CpuModel.instruction_cost`` do: the same instruction cycles, carry
+    bits, redraw countdown, instruction count and next noise draw,
+    whether or not a redraw falls inside the block."""
+    config = MachineConfig(runtime=runtime, speculation_sigma=sigma,
+                           turbo=turbo, freq_scaling=freq_scaling)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_NO_BATCH", raising=False)
+        machines = [Machine(config, seed=seed, mode="play")
+                    for _ in range(3)]
+    for machine in machines:
+        machine.cpu._frac = carry
+        machine.cpu._until_redraw = until
+    reference, rendered, blocked = machines
+    classes = tuple(classes)
+    bases = tuple(reference.cpu._cost_list[c] for c in classes)
+    start = [m.platform._acc[_ACC_INSTR] for m in machines]
+    expected = sum(reference.cpu.instruction_cost(c) for c in classes)
+
+    inline = rendered.platform.mem_inline()
+    namespace = dict(inline.namespace, _CLS=classes, _BAS=bases,
+                     _TOT=sum(bases),
+                     _charge_block=rendered.platform.charge_block)
+    exec("\n".join(inline.charge(bases, "_charge_block(_CLS, _BAS, _TOT)")),
+         namespace)
+    blocked.platform.charge_block(classes, bases, sum(bases))
+
+    next_draw = reference.cpu._rng.next_u64()
+    for machine, before in zip((rendered, blocked), start[1:]):
+        cpu = machine.cpu
+        assert machine.platform._acc[_ACC_INSTR] - before == expected
+        assert cpu._frac.hex() == reference.cpu._frac.hex()
+        assert cpu._until_redraw == reference.cpu._until_redraw
+        assert cpu._instructions == reference.cpu._instructions
+        assert cpu._rng.next_u64() == next_draw
+
+
+def _l1_line(line_bytes: int) -> MachineConfig:
+    config = MachineConfig()
+    return replace(config,
+                   l1_config=replace(config.l1_config, line_bytes=line_bytes))
+
+
+#: The boundaries of repeat-line elision: Oracle-JIT frame slots are
+#: registerized, a 32- or 128-byte line divides the 512-byte frame
+#: alignment, and a 1,024-byte line does not, so frame keys switch off.
+#: A 2-entry TLB misses inside loops that touch three pages, so a
+#: repeat hit rendered after an access to another page would change what
+#: the next miss evicts.
+ELISION_CONFIGS = {
+    "tlb-2": MachineConfig(tlb_entries=2),
+    "oracle-jit": MachineConfig(runtime=RuntimeKind.ORACLE_JIT),
+    "oracle-jit-dirty": replace(scenario_config(NoiseScenario.DIRTY),
+                                runtime=RuntimeKind.ORACLE_JIT),
+    "l1-line-32": _l1_line(32),
+    "l1-line-128": _l1_line(128),
+    "l1-line-1024": _l1_line(1024),
+}
+
+
+def test_line_keys_at_the_elision_boundaries(monkeypatch):
+    """Equal keys mean one line in one page; accesses that cannot be
+    proven so get no key."""
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+
+    def line_key(config):
+        return Machine(config, seed=0, mode="play").platform \
+            .mem_inline().line_key
+
+    key = line_key(MachineConfig())
+    assert key(0x20_0000) == key(0x20_0038) != key(0x20_0040)
+    assert key(8, frame=True) == key(56, frame=True) != key(64, frame=True)
+    assert key(8, frame=True) != key(8)
+    # Frame bases are 512-byte aligned: a 1,024-byte line keys constants
+    # only.
+    assert line_key(_l1_line(1024))(8, frame=True) is None
+    assert line_key(_l1_line(1024))(0x20_0000) is not None
+    # A line larger than the page spans pages: nothing is keyed.
+    config = MachineConfig()
+    wide = replace(config, l1_config=replace(config.l1_config,
+                                              line_bytes=8192, ways=2))
+    assert line_key(wide)(0x20_0000) is None
+    # Oracle-JIT frame slots are registerized in some frames only.
+    oracle = line_key(MachineConfig(runtime=RuntimeKind.ORACLE_JIT))
+    assert oracle(8, frame=True) is None
+    assert oracle(0x20_0000) is not None
+
+
+def _elision_runs(nfs_program, config):
+    """A 4-request NFS round trip and two small kernels: each run's
+    result and, for the kernels, the TLB hit count and the TLB and cache
+    state digests, which tell if an LRU move went missing."""
+    trip = round_trip(nfs_program, config,
+                      workload=build_nfs_workload(SplitMix64(7042),
+                                                  num_requests=4),
+                      play_seed=3, replay_seed=9, obs=Observability())
+    runs = [(trip.play, None), (trip.replay, None)]
+    for program in (build_kernel_program("sor", n=16, iterations=4),
+                    build_kernel_program("lu", n=12)):
+        machine = Machine(config, seed=1, mode="play", obs=Observability())
+        result = machine.run(program)
+        runs.append((result, (machine.tlb.hits,
+                              machine.tlb.state_fingerprint(),
+                              machine.hierarchy.state_fingerprint())))
+    return runs
+
+
+def _elision_facts(runs):
+    return [(r.total_cycles, r.instructions, r.tx, r.ledger, r.stats, state)
+            for r, state in runs]
+
+
+@pytest.fixture(scope="module", params=sorted(ELISION_CONFIGS))
+def elision_default(request, nfs_program):
+    """A boundary config and its facts with compiled blocks running
+    repeat hits and the inline block charge."""
+    config = ELISION_CONFIGS[request.param]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_NO_JIT", raising=False)
+        patch.delenv("REPRO_NO_BATCH", raising=False)
+        runs = _elision_runs(nfs_program, config)
+    assert all(r.jit["entries"] > 0 for r, _ in runs)
+    return config, _elision_facts(runs)
+
+
+@pytest.mark.parametrize("knob", ("REPRO_NO_JIT", "REPRO_NO_BATCH"))
+def test_elision_boundaries_match_reference(nfs_program, monkeypatch,
+                                            elision_default, knob):
+    """Compiled blocks with repeat-line hits and the inline block charge
+    against the pure interpreter (``REPRO_NO_JIT``) and the unbatched
+    reference (``REPRO_NO_BATCH``), on configs at the elision's
+    boundaries."""
+    config, facts = elision_default
+    monkeypatch.setenv(knob, "1")
+    assert _elision_facts(_elision_runs(nfs_program, config)) == facts
+
+
+class TestWorkCounts:
+    """Deterministic work-count gates on the 5-request NFS round trip."""
+
+    @pytest.fixture(autouse=True)
+    def _batched(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+
+    def test_block_charges_mostly_inline(self, nfs_program, monkeypatch):
+        """A compiled block calls ``charge_block`` only when a noise
+        redraw falls inside it or it leaves early; otherwise its charge
+        runs inline in closed form."""
+        calls = 0
+        install = TimedCorePlatform._install_batched_paths
+
+        def counted(self):
+            install(self)
+            charge_block = self.charge_block
+
+            def counting(*args):
+                nonlocal calls
+                calls += 1
+                return charge_block(*args)
+
+            self.charge_block = counting
+
+        monkeypatch.setattr(TimedCorePlatform, "_install_batched_paths",
+                            counted)
+        trip = _round_trip(nfs_program)
+        entries = trip.play.jit["entries"] + trip.replay.jit["entries"]
+        assert entries > 0
+        assert calls <= 0.4 * entries
+
+    def test_checksum_loop_renders_repeat_hits(self, nfs_program):
+        """``process_chunk``'s self-loop at pc 18 touches one frame line
+        over and over: most of its accesses render as repeat hits."""
+        trip = _round_trip(nfs_program)
+        hot = [r for r in trip.play.jit["regions"]
+               if (r["function"], r["head_pc"]) == ("process_chunk", 18)]
+        assert hot and hot[0]["entries"] > 0
+
+        platform = Machine(MachineConfig(), seed=3, mode="play").platform
+        hit = list(platform.mem_inline().hit)
+        art = _build_region(nfs_program.function("process_chunk"), 18,
+                            platform, 64, True)
+        assert art["loops"]
+        lines = [line.strip() for line in art["source"].splitlines()]
+        hits = sum(lines[i:i + len(hit)] == hit for i in range(len(lines)))
+        assert hits >= 5
