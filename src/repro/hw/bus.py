@@ -44,15 +44,21 @@ class BusConfig:
 
 
 class MemoryBus:
-    """Shared TC/SC memory bus with stochastic contention stalls."""
+    """Shared TC/SC memory bus with stochastic contention stalls.
+
+    ``floor`` is the background traffic level (other tenants, system
+    activity) below which decay never takes the level.
+    """
 
     #: Ledger bucket for contention-stall cycles this component causes.
     LEDGER_SOURCE = Source.BUS
 
     def __init__(self, config: BusConfig,
-                 noise_rng: SplitMix64 | ZeroNoise) -> None:
+                 noise_rng: SplitMix64 | ZeroNoise,
+                 floor: float = 0.0) -> None:
         self.config = config
         self._rng = noise_rng
+        self._floor = min(1.0, max(0.0, floor))
         self._traffic_level = 0.0
         self.total_stall_cycles = 0
         self.collisions = 0
@@ -70,11 +76,28 @@ class MemoryBus:
         """Superimpose a traffic burst (e.g. a packet DMA)."""
         self.set_traffic_level(self._traffic_level + amount)
 
-    def decay_traffic(self, factor: float = 0.5) -> None:
-        """Exponential decay of the traffic level between polls."""
-        self._traffic_level *= factor
-        if self._traffic_level < 1e-6:
-            self._traffic_level = 0.0
+    def decay(self, steps: int = 1) -> None:
+        """Apply ``steps`` decay steps of the traffic level.
+
+        One step, between two polls of the supporting core's world,
+        scales the level by 0.6, snaps it to zero below 1e-6 and raises
+        it to the floor.  The step is a function of the level alone, so
+        once it maps a level to itself (zero or the floor), every later
+        step does too: a run of steps ends there, after at most 28 from
+        1.0 with no floor.
+        """
+        level = self._traffic_level
+        floor = self._floor
+        for _ in range(steps):
+            after = level * 0.6
+            if after < 1e-6:
+                after = 0.0
+            if after < floor:
+                after = floor
+            if after == level:
+                break
+            level = after
+        self._traffic_level = level
 
     def transfer_penalty(self) -> int:
         """Extra cycles a TC DRAM transfer pays to cross the bus now."""

@@ -150,7 +150,7 @@ class Machine:
         self.bus = MemoryBus(
             BusConfig(contention_probability=config.bus_contention_probability,
                       max_stall_cycles=config.bus_max_stall_cycles),
-            bus_rng)
+            bus_rng, floor=config.background_bus_traffic)
         self.cpu = CpuModel(
             CpuTimingConfig(costs=config.cost_table,
                             freq_scaling_enabled=config.freq_scaling,
@@ -262,7 +262,8 @@ class Machine:
 
         Called from the interpreter's quantum hook and from every real
         idle poll: stages arrived packets, applies IRQ and preemption
-        interference, and decays bus traffic.  The idle polls a batched
+        interference, and decays bus traffic one step
+        (``MemoryBus.decay``).  The idle polls a batched
         platform applies in closed form call :meth:`quiet_world`
         instead, which is exact only before :meth:`world_horizon`.
         """
@@ -292,21 +293,19 @@ class Machine:
                     config.preempt_mean_interval_cycles)))
         if config.co_tenant_intensity > 0.0:
             self._co_tenant_interference(now)
-        self._decay_bus()
-
-    def _decay_bus(self) -> None:
-        """One call's bus-traffic decay, floored at the background level."""
-        self.bus.decay_traffic(0.6)
-        if self.bus.traffic_level < self.config.background_bus_traffic:
-            self.bus.set_traffic_level(self.config.background_bus_traffic)
+        self.bus.decay()
 
     def world_horizon(self) -> int | None:
-        """The earliest clock reading at which :meth:`service_world` does
-        more than decay the bus, or None if there is none.
+        """The earliest clock reading at which :meth:`service_world`
+        charges the timed core or changes its caches or buffers, or None
+        if there is none.
 
         That is the first reading at which it stages a packet (play), an
-        IRQ fires or a preemption is due.  The co-tenant charges every
-        call, so with one the horizon is 0.
+        IRQ routed to the timed core fires or a preemption is due.  The
+        co-tenant charges every call, so with one the horizon is 0.  An
+        IRQ routed to the supporting core only adds bus traffic, which
+        :meth:`quiet_world` applies, so it is no horizon (see
+        :meth:`sc_irq_due`).
         """
         config = self.config
         if config.co_tenant_intensity > 0.0:
@@ -315,7 +314,7 @@ class Machine:
         if self.is_play and self.nic.pending_rx:
             due.append(self.nic.next_arrival_cycle()
                        + config.sc_processing_cycles)
-        if config.irqs_enabled:
+        if self.irq_controller.routed_to_timed_core:
             fire = self.irq_controller.next_fire_cycle()
             if fire != math.inf:
                 due.append(math.ceil(fire))
@@ -323,20 +322,37 @@ class Machine:
             due.append(self._next_preempt)
         return min(due, default=None)
 
-    def quiet_world(self, calls: int) -> None:
-        """Apply ``calls`` :meth:`service_world` calls that all run before
-        :meth:`world_horizon`, where each only decays the bus.
+    def sc_irq_due(self) -> int | float:
+        """The earliest clock reading at which :meth:`service_world`
+        fires an IRQ routed to the supporting core (``math.inf`` if
+        none will)."""
+        irqs = self.irq_controller
+        if not self.config.irqs_enabled or irqs.routed_to_timed_core:
+            return math.inf
+        fire = irqs.next_fire_cycle()
+        return fire if fire == math.inf else math.ceil(fire)
 
-        The decay is a function of the traffic level alone, so once a
-        step leaves the level unchanged (at zero or at the background
-        floor), every later step would too.
+    def quiet_world(self, calls: int, reading: int | None = None) -> None:
+        """Apply ``calls`` :meth:`service_world` calls that all run before
+        :meth:`world_horizon`.
+
+        Each call only decays the bus, except that with a ``reading``
+        the last call, at that clock reading, first fires the IRQs
+        routed to the supporting core that are due by then.  Under that
+        routing ``pending_interference`` charges no cycles and pollutes
+        no lines, so the firing only counts, draws the next intervals
+        and adds its traffic sum to the bus, as in ``service_world``.
+        A run's decay steps stop at the level's fixed point
+        (``MemoryBus.decay``).
         """
         bus = self.bus
-        for _ in range(calls):
-            level = bus.traffic_level
-            self._decay_bus()
-            if bus.traffic_level == level:
-                return
+        if reading is not None:
+            bus.decay(calls - 1)
+            traffic = self.irq_controller.pending_interference(reading)[2]
+            if traffic:
+                bus.add_traffic(traffic)
+            calls = 1
+        bus.decay(calls)
 
     def _co_tenant_interference(self, now: int) -> None:
         """Cross-VM interference (§7 "Multi-tenancy").

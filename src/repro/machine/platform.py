@@ -14,8 +14,9 @@ Everything the paper's §3 describes comes together here:
   stride so arrivals are identifiable points (§3.2) and which the
   *naive* replayer skips (§2.5); batched platforms apply the polls that
   provably change nothing but the clock, the noise countdown, the hit
-  counters and the bus decay in closed form, up to the next arrival,
-  logged packet, IRQ or preemption (DESIGN §4.5);
+  counters, the bus level and the interrupts routed to the supporting
+  core in closed form, up to the next arrival, logged packet, IRQ routed
+  to the timed core or preemption (DESIGN §4.5);
 * the native interface (I/O, ``nano_time``, ``covert_delay``).
 
 Batched cycle charging
@@ -543,18 +544,23 @@ class TimedCorePlatform(Platform):
                          idle: int) -> int | None:
         """Apply in closed form the idle polls after a real one that
         change nothing but the clock, the CPU noise countdown, the TLB
-        and L1 hit counters and the bus-traffic decay (DESIGN §4.5).
+        and L1 hit counters, the bus traffic level and the interrupts
+        routed to the supporting core (DESIGN §4.5).
 
         ``idle`` is what the real poll's ``scale_block`` returned.  A
         skipped poll's S-T check hits the check line, its receive fails,
-        it charges ``scale_block(stride)`` and its ``service_world`` only
-        decays the bus, so until the next noise redraw every skipped poll
-        costs the same.  Polls are skipped only while the check line is
-        the most recently used entry of the TLB and of its L1 set and no
-        L1 writeback is pending, only before the logged packet's
+        it charges ``scale_block(stride)`` and its ``service_world`` at
+        most fires IRQs routed to the supporting core and decays the
+        bus, so until the next noise redraw every skipped poll costs the
+        same.  Polls are skipped only while the check line is the most
+        recently used entry of the TLB and of its L1 set and no L1
+        writeback is pending, only before the logged packet's
         instruction count (replay), and only while their
         ``service_world`` would run strictly before
-        ``Machine.world_horizon``.
+        ``Machine.world_horizon``.  The first poll whose reading reaches
+        ``Machine.sc_irq_due`` ends a run of identical polls, as a redraw
+        does: ``Machine.quiet_world`` fires its IRQs at that reading and
+        decays the bus over the run.
 
         A poll that redraws the noise runs the real ``scale_block``
         first, because its cost decides whether the poll is before the
@@ -587,21 +593,33 @@ class TimedCorePlatform(Platform):
             return None
         check = accesses * l1.config.hit_cycles
         cpu = self.cpu
-        polls = idle_cycles = 0
+        irq = machine.sc_irq_due()
+        polls = idle_cycles = calls = 0
         drawn = None
         while True:
-            # The polls before the next redraw all cost check + idle.
+            if calls and now >= irq:
+                # The last poll is the first whose reading reaches it.
+                machine.quiet_world(calls, now)
+                irq = machine.sc_irq_due()
+                calls = 0
+            # The polls before the next redraw all cost check + idle, and
+            # the first of them to reach the next IRQ ends them too.
+            step = check + idle
             n = cpu._until_redraw - 1
             if limit is not None:
                 n = min(n, limit - polls)
             if horizon is not None:
-                n = min(n, (horizon - now - 1) // (check + idle))
+                n = min(n, (horizon - now - 1) // step)
+            if n > 0 and irq <= now + n * step:
+                n = max(1, (irq - now - 1) // step + 1)
             if n > 0:
                 cpu._instructions += n
                 cpu._until_redraw -= n
                 polls += n
+                calls += n
                 idle_cycles += n * idle
-                now += n * (check + idle)
+                now += n * step
+                continue
             if cpu._until_redraw != 1 or polls == limit:
                 break
             idle = cpu.scale_block(stride)
@@ -609,6 +627,7 @@ class TimedCorePlatform(Platform):
                 drawn = idle
                 break
             polls += 1
+            calls += 1
             idle_cycles += idle
             now += check + idle
         if polls:
@@ -617,7 +636,7 @@ class TimedCorePlatform(Platform):
             l1.hits += accesses * polls
             self.clock.advance(check * polls, Source.CACHE)
             self.clock.advance(idle_cycles, Source.IDLE)
-            machine.quiet_world(polls)
+            machine.quiet_world(calls)
         return drawn
 
     # -- natives ----------------------------------------------------------------------

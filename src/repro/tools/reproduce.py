@@ -103,6 +103,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for a count that may be 0, such as the fault
+    severities of 'chaos' (0 runs only the transfer sweep)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _store(args):
     """The :class:`RunStore` selected by ``--store``, or ``None``."""
     root = getattr(args, "store", None)
@@ -1341,7 +1351,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chaos-seed", type=int, default=2014,
                         help="seed for the chaos fault sweep "
                              "(default 2014)")
-    parser.add_argument("--severities", type=int, default=3,
+    parser.add_argument("--severities", type=non_negative_int, default=3,
                         help="fault severities swept by 'chaos' "
                              "(default 3)")
     parser.add_argument("--trace-out", default=None, metavar="FILE",

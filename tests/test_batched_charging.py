@@ -8,17 +8,21 @@ must be bit-identical to the unbatched implementation, which stays
 available behind ``REPRO_NO_BATCH=1`` as the reference.  The same holds
 for the idle polls a batched ``wait_packet`` applies in closed form
 (DESIGN §4.5), whose boundaries the tests below also pin directly.
+
+The batched side of every test here runs batched even when the suite
+runs under ``REPRO_NO_BATCH=1``; the reference side sets it itself.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import (build_kernel_program, build_nfs_program,
                         build_nfs_workload, compile_app)
@@ -27,12 +31,14 @@ from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
 from repro.hw.cache import ReplacementPolicy
 from repro.hw.cpu import CostClass
+from repro.hw.interrupts import IrqSource
 from repro.machine import MachineConfig, ScriptedArrivals
 from repro.machine.machine import Machine
 from repro.machine.noise import NOISE_SCENARIOS, scenario_config
 from repro.machine.platform import (_ACC_INSTR, _ACC_SOURCES,
                                     TimedCorePlatform, batching_enabled)
 from repro.obs import Observability
+from repro.obs.ledger import Source
 
 REQUESTS = 5
 
@@ -42,6 +48,13 @@ PRESETS = ([pytest.param(scenario_config(s), id=s.value)
             for s in NOISE_SCENARIOS]
            + [pytest.param(MachineConfig(co_tenant_intensity=0.5),
                            id="co-tenant")])
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _batched_by_default():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_NO_BATCH", raising=False)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +102,11 @@ def test_noise_presets_match_unbatched(nfs_program, monkeypatch, config):
 
 
 def test_idle_waits_skip_most_polls(nfs_program, monkeypatch):
-    """Batched waits run one real poll per horizon, not one per stride
-    (about 770 per transmitted packet without the fast-forward)."""
+    """Batched waits run one real poll per horizon (an arrival, a logged
+    packet, a preemption or an IRQ routed to the timed core), not one
+    per stride or per IRQ routed to the supporting core: 3 per
+    transmitted packet here, against about 770 without the
+    fast-forward and 11.4 when every IRQ ended it."""
     polls = 0
     try_recv = TimedCorePlatform._try_recv
 
@@ -103,7 +119,7 @@ def test_idle_waits_skip_most_polls(nfs_program, monkeypatch):
     trip = _round_trip(nfs_program)
     transmitted = len(trip.play.tx) + len(trip.replay.tx)
     assert transmitted == 2 * REQUESTS
-    assert polls <= 50 * transmitted
+    assert polls <= 4 * transmitted
 
 
 ECHO_GUEST = """
@@ -223,6 +239,182 @@ def test_idle_fast_forward_preconditions(disturb, overrides):
     disturb(platform)
     assert platform._skip_idle_polls(vm, STRIDE, STRIDE) is None
     assert vm.instruction_count == 0
+
+
+#: Writes one word per cache line of an array larger than the L2 after
+#: every wait, so the first memory accesses after a wait are DRAM fills
+#: and read the bus traffic level the skipped polls left behind.
+DRAM_GUEST = """
+void main() {
+    int[] buf = new int[16];
+    int[] big = new int[40000];
+    while (true) {
+        int n = wait_packet(buf);
+        if (n < 0) { break; }
+        for (int i = 0; i < 40000; i = i + 8) { big[i] = n; }
+        send_packet(buf, n);
+    }
+    exit();
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def dram_program():
+    return compile_app(DRAM_GUEST)
+
+
+@settings(max_examples=12, deadline=None)
+@given(intervals=st.tuples(st.floats(min_value=2.5, max_value=7.0),
+                           st.floats(min_value=2.5, max_value=7.0)),
+       traffic=st.tuples(st.floats(min_value=0.0, max_value=1.2),
+                         st.floats(min_value=0.0, max_value=1.2)),
+       to_sc=st.booleans(),
+       background=st.sampled_from([0.0, 0.3, 0.97]),
+       stride=st.integers(min_value=100, max_value=40_000),
+       arrivals=st.lists(st.integers(min_value=0, max_value=300),
+                         min_size=1, max_size=3),
+       sigma=st.sampled_from([0.0, 0.004]))
+@example(intervals=(math.log10(4e5), math.log10(2e6)), traffic=(0.4, 0.9),
+         to_sc=True, background=0.0, stride=25_000, arrivals=[40, 200, 350],
+         sigma=0.004)
+@example(intervals=(math.log10(4e5), math.log10(2e6)), traffic=(0.4, 0.9),
+         to_sc=True, background=0.3, stride=25_000, arrivals=[40, 200, 350],
+         sigma=0.004)
+def test_sc_irq_traffic_matches_per_poll_loop(dram_program, intervals,
+                                              traffic, to_sc, background,
+                                              stride, arrivals, sigma):
+    """IRQs of any rate (log10 of the mean interval in cycles, from below
+    one stride to 1e7) and traffic (adds that saturate at 1.0), routed
+    to either core, over any background floor: the bus level the
+    skipped polls leave is the one the per-poll loop leaves, as every
+    DRAM fill of the guest sees with contention probability 1.  The
+    handlers are small, so IRQs routed to the timed core cannot keep it
+    busy for longer than the interval between them."""
+    sources = [IrqSource(name, 10 ** log_mean, 50, cache_lines=2,
+                         bus_traffic=load)
+               for name, log_mean, load in zip("ab", intervals, traffic)]
+    config = MachineConfig(
+        bus_contention_probability=1.0, irqs_to_supporting_core=to_sc,
+        background_bus_traffic=background, poll_stride_cycles=stride,
+        speculation_sigma=sigma)
+    schedule = [(slot * (stride + 12), bytes([i + 1] * 3))
+                for i, slot in enumerate(arrivals)]
+
+    def run():
+        with mock.patch("repro.machine.machine.standard_sources",
+                        lambda: list(sources)):
+            trip = round_trip(dram_program, config,
+                              workload=ScriptedArrivals(list(schedule)),
+                              play_seed=5, replay_seed=6,
+                              obs=Observability())
+        return _snapshot(trip.play), _snapshot(trip.replay)
+
+    batched = run()
+    with mock.patch.dict(os.environ, {"REPRO_NO_BATCH": "1"}):
+        assert run() == batched
+    assert len(batched[0][2]) == len(arrivals)
+
+
+def _poll(platform, vm, stride=STRIDE) -> int:
+    """One iteration of ``wait_packet``'s per-poll loop whose receive
+    fails; returns the poll's idle cost."""
+    assert platform._try_recv(vm, 0) == -1
+    vm.instruction_count += 1
+    idle = platform.cpu.scale_block(stride)
+    platform.clock.advance(idle, Source.IDLE)
+    platform.machine.service_world()
+    return idle
+
+
+TWIN_POLLS = 8
+
+
+def _twin(fires, until_redraw, sigma, background):
+    """A play machine right after a real poll, with its packet staged
+    about ``TWIN_POLLS`` polls later, the bus at 0.5, and the standard
+    IRQ sources (routed to the supporting core) next due at ``fires``:
+    per source, None or ``(k, offset)`` for ``offset`` cycles after the
+    reading of the ``k``-th poll after the real one, if every poll costs
+    what the real one did.  Returns the platform, a stand-in
+    interpreter and the real poll's idle cost."""
+    config = MachineConfig(speculation_sigma=sigma,
+                           poll_stride_cycles=STRIDE,
+                           background_bus_traffic=background)
+    machine = Machine(config, seed=4, mode="play", obs=Observability())
+    platform = machine.platform
+    vm = SimpleNamespace(instruction_count=0)
+    idle = _poll(platform, vm)
+    now = machine.clock.cycles
+    per_poll = PER_POLL - STRIDE + idle
+    machine.schedule_arrival(now + TWIN_POLLS * per_poll
+                             - config.sc_processing_cycles, b"x")
+    machine.irq_controller._next_fire = [
+        math.inf if due is None else now + due[0] * per_poll + due[1]
+        for due in fires]
+    machine.bus.set_traffic_level(0.5)
+    if until_redraw is not None:
+        machine.cpu._until_redraw = until_redraw
+    return platform, vm, idle
+
+
+def _world_state(machine):
+    """Everything an idle poll may touch, and the next draw of every
+    noise stream."""
+    machine.platform.flush_charges()
+    streams = (machine.bus._rng, machine.cpu._rng, machine._irq_rng,
+               machine._preempt_rng, machine._co_tenant_rng)
+    return (machine.clock.cycles, machine.ledger.totals(),
+            machine.bus.traffic_level,
+            list(machine.irq_controller._next_fire),
+            machine.irq_controller.firings, machine.cpu._instructions,
+            machine.cpu._until_redraw, machine.cpu._combined,
+            machine.tlb.hits, machine.l1.hits,
+            [stream.next_u64() for stream in streams])
+
+
+@pytest.mark.parametrize("fires,until_redraw,sigma,background", [
+    pytest.param([(3, 0), None, None, None], None, 0.0, 0.0,
+                 id="at-a-reading"),
+    pytest.param([(3, 1), None, None, None], None, 0.0, 0.0,
+                 id="one-cycle-later"),
+    pytest.param([(3, 0), (3, -7), None, None], None, 0.0, 0.3,
+                 id="two-sources-one-poll"),
+    pytest.param([None, (2, 1), None, None], 3, 0.004, 0.0,
+                 id="on-a-redraw-poll"),
+    # Due at the real poll's own reading, as after a preemption charge.
+    pytest.param([(0, 0), (6, 0), None, (7, 0)], 5, 0.004, 0.97,
+                 id="overdue-then-two-runs"),
+])
+def test_sc_irq_skip_matches_twin_loop(fires, until_redraw, sigma,
+                                       background):
+    """Two machines with the same seed run the same polls, one through
+    the per-poll loop and one through ``_skip_idle_polls``, and end in
+    the same state: an IRQ routed to the supporting core fires at the
+    first poll whose ``service_world`` reading reaches it."""
+    loop, loop_vm, _ = _twin(fires, until_redraw, sigma, background)
+    skip, skip_vm, idle = _twin(fires, until_redraw, sigma, background)
+    assert skip._skip_idle_polls(skip_vm, STRIDE, idle) is None
+    assert skip_vm.instruction_count >= TWIN_POLLS - 1
+    while loop_vm.instruction_count < skip_vm.instruction_count:
+        _poll(loop, loop_vm)
+    assert skip.machine.irq_controller.firings \
+        == sum(due is not None for due in fires)
+    assert _world_state(skip.machine) == _world_state(loop.machine)
+
+
+@pytest.mark.parametrize("background", [0.0, 0.3, 0.97])
+def test_world_decays_to_the_background_floor(background):
+    """Each ``service_world`` call scales the bus level by 0.6, never
+    below the background floor, and a long quiet run settles on it."""
+    machine = Machine(MachineConfig(irqs_enabled=False,
+                                    background_bus_traffic=background),
+                      seed=0, mode="play")
+    machine.bus.set_traffic_level(0.5)
+    machine.service_world()
+    assert machine.bus.traffic_level == max(0.5 * 0.6, background)
+    machine.quiet_world(40)
+    assert machine.bus.traffic_level == background
 
 
 def test_batched_matches_unbatched_no_obs(nfs_program, monkeypatch):

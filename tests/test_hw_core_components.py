@@ -74,14 +74,36 @@ class TestMemoryBus:
         bus = MemoryBus(BusConfig(), ZeroNoise())
         bus.add_traffic(5.0)
         assert bus.traffic_level == 1.0
-        bus.decay_traffic(0.0)
+        # 0.6**27 is just above the 1e-6 snap, 0.6**28 below it.
+        bus.decay(27)
+        assert bus.traffic_level > 0.0
+        bus.decay()
         assert bus.traffic_level == 0.0
 
     def test_decay(self):
         bus = MemoryBus(BusConfig(), ZeroNoise())
         bus.set_traffic_level(0.8)
-        bus.decay_traffic(0.5)
-        assert bus.traffic_level == pytest.approx(0.4)
+        bus.decay()
+        assert bus.traffic_level == pytest.approx(0.48)
+
+    @settings(max_examples=200, deadline=None)
+    @given(level=st.floats(min_value=0.0, max_value=1.0),
+           floor=st.sampled_from([0.0, 1e-7, 0.3, 0.97, 1.0, 1.5]),
+           steps=st.integers(min_value=0, max_value=40))
+    def test_decay_runs_match_single_steps(self, level, floor, steps):
+        """``decay(k)`` is k steps of ``level * 0.6``, snapped to zero
+        below 1e-6 and raised to the background floor (clamped to 1)."""
+        expected = level
+        for _ in range(steps):
+            expected *= 0.6
+            if expected < 1e-6:
+                expected = 0.0
+            if expected < floor:
+                expected = min(1.0, floor)
+        bus = MemoryBus(BusConfig(), ZeroNoise(), floor=floor)
+        bus.set_traffic_level(level)
+        bus.decay(steps)
+        assert bus.traffic_level == expected
 
     def test_zero_noise_never_stalls(self):
         bus = MemoryBus(BusConfig(contention_probability=0.9), ZeroNoise())

@@ -45,6 +45,16 @@ class TestReproduceCli:
         assert "must be a positive integer" in err
         assert "Traceback" not in err
 
+    def test_negative_severities_exit_usage(self, capsys):
+        # 0 stays valid (the transfer-only sweep, exit 0); -1 would run
+        # an empty fault sweep.
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--requests", "4", "--severities", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be a non-negative integer" in err
+        assert "Traceback" not in err
+
     def test_runs_small_experiment(self, capsys):
         assert main(["sec65", "--requests", "8"]) == 0
         out = capsys.readouterr().out
