@@ -19,46 +19,40 @@ Design notes
   keeps the hot end of the stack in registers), so only locals, globals,
   arrays, and fields generate data traffic.
 
-* **The dispatch loop is one long function.**  This is deliberate: a
-  per-opcode method table costs an extra call per executed instruction,
-  which at interpreter-in-an-interpreter depth dominates the simulation's
-  host runtime.  The ladder is ordered by measured opcode frequency.
+* **The dispatch loop is one long function, rendered from the opcode
+  table.**  A per-opcode method table would cost an extra call per
+  executed instruction, which at interpreter-in-an-interpreter depth
+  dominates the simulation's host runtime.  So ``run`` is one function
+  whose dispatch ladder is rendered, once per process at import, from
+  the rows of :data:`repro.vm.isa.ROWS` (the source the trace compiler
+  renders its blocks from), in the table's measured frequency order,
+  with opcode values as integer literals.  Only the eight opcodes the
+  compiler never runs keep hand-written arms (:data:`_HOST_ARMS`).
 """
 
 from __future__ import annotations
 
-import math
+import textwrap
 from dataclasses import dataclass
+# Some names imported here are used only by the rendered ``run`` (_RUN),
+# among them the host functions row expressions call.
+from math import cos as _cos, sin as _sin, sqrt as _sqrt  # noqa: F401
 
 from repro.errors import GuestError, VMRuntimeError
 from repro.hw.cpu import CostClass
-from repro.vm.heap import (GuestThrow, Heap, HeapConfig, KIND_FLOAT_ARRAY,
-                           KIND_INT_ARRAY)
-from repro.vm.isa import (EXC_DIV_BY_ZERO, EXC_INDEX_OUT_OF_BOUNDS,
-                          EXC_STACK_OVERFLOW, EXCEPTION_NAMES,
-                          OPCODE_COST_CLASS, OPCODE_COST_LIST, Op,
-                          wrap_i64)
+from repro.vm.heap import (GuestThrow, Heap, HeapConfig,  # noqa: F401
+                           KIND_FLOAT_ARRAY, KIND_INT_ARRAY)
+from repro.vm.isa import (CODE_BASE, CODE_STRIDE,  # noqa: F401
+                          EXC_INDEX_OUT_OF_BOUNDS, EXC_STACK_OVERFLOW,
+                          EXCEPTION_NAMES, FRAME_STRIDE_SLOTS, GLOBALS_BASE,
+                          OPCODE_COST_LIST, ROWS, STACK_BASE,
+                          THREAD_STACK_STRIDE, Op, render_wrap)
 from repro.vm.platform import Platform
 from repro.vm.program import Function, Program
 
-#: Virtual memory map (stable across executions — §3.6 needs the same
-#: virtual layout during play and replay; the *physical* backing is the
-#: FrameAllocator's concern).
-CODE_BASE = 0x0010_0000
-CODE_STRIDE = 0x4000          # per-function code window
-GLOBALS_BASE = 0x0020_0000
-STACK_BASE = 0x0100_0000
-THREAD_STACK_STRIDE = 0x10_0000
-FRAME_STRIDE_SLOTS = 64       # max locals per frame, for address layout
 _WORD = 8
 
 MAX_CALL_DEPTH = 256
-
-#: Opcode values as plain ints in enum order, unpacked into run()'s
-#: locals in one assignment: an ``op == Op.X`` comparison in the ladder
-#: costs an enum attribute load (two dict lookups) per test, a local int
-#: is immediate.
-_OP_VALUES = tuple(int(op) for op in Op)
 
 
 @dataclass
@@ -215,424 +209,8 @@ class Interpreter:
 
     # -- main loop --------------------------------------------------------------
 
-    def run(self, max_instructions: int | None = None) -> int:
-        """Run until the program halts; returns instructions executed.
-
-        Raises :class:`GuestError` on an uncaught guest exception and
-        :class:`VMRuntimeError` on host-level faults (call-depth overflow
-        is converted into a guest StackOverflow first).
-        """
-        # Local aliases shave attribute lookups off the hot path: the
-        # platform fast paths, the program tables, the instruction
-        # counter (mirrored in ``icount``, synced back at every boundary
-        # a native or observer could read it), and every opcode constant
-        # the ladder compares against (one tuple unpack beats an enum
-        # attribute load per comparison).
-        platform = self.platform
-        charge = platform.charge
-        mem = platform.mem_access
-        fetch = platform.fetch_access
-        cost_of = OPCODE_COST_LIST
-        sampler = self.sampler
-        profiler = self.profiler
-        jit = self.jit
-        jit_blocks = jit.blocks if jit is not None else None
-        poll_interval = self.config.poll_interval
-        quantum = self.config.thread_quantum
-        switch_cost = self.config.context_switch_cost
-        heap = self.heap
-        globals_ = self.globals
-        functions = self.program.functions
-        classes = self.program.classes
-        wrap = wrap_i64
-        limit = max_instructions
-        executed_at_entry = self.instruction_count
-        icount = self.instruction_count
-
-        (OP_NOP, OP_ICONST, OP_FCONST, OP_POP, OP_DUP, OP_SWAP, OP_LOAD,
-         OP_STORE, OP_GLOAD, OP_GSTORE, OP_IADD, OP_ISUB, OP_IMUL, OP_IDIV,
-         OP_IREM, OP_INEG, OP_ISHL, OP_ISHR, OP_IAND, OP_IOR, OP_IXOR,
-         OP_FADD, OP_FSUB, OP_FMUL, OP_FDIV, OP_FNEG, OP_I2F, OP_F2I,
-         OP_FSQRT, OP_FSIN, OP_FCOS, OP_CMP, OP_IFEQ, OP_IFNE, OP_IFLT,
-         OP_IFLE, OP_IFGT, OP_IFGE, OP_GOTO, OP_NEWARRAY, OP_ALOAD,
-         OP_ASTORE, OP_ARRAYLEN, OP_NEWOBJ, OP_GETFIELD, OP_PUTFIELD,
-         OP_CALL, OP_RET, OP_RETV, OP_THROW, OP_NATIVE, OP_HALT) = _OP_VALUES
-
-        if not any(t.alive for t in self.threads):
-            return 0
-        if not self.threads[self._current_index].alive:
-            if not self._rotate():
-                return 0
-
-        thread = self.threads[self._current_index]
-        slice_left = quantum
-        # Instructions until the next platform poll: a countdown beats a
-        # modulo on every instruction.  Poll points stay exactly at
-        # instruction_count % poll_interval == 0; the countdown is
-        # resynced whenever a native mutates the counter (idle polls,
-        # naive-replay wait skipping).
-        until_poll = poll_interval - (icount % poll_interval)
-
-        try:
-            while not self.halted:
-                if not thread.frames:
-                    thread.alive = False
-                if not thread.alive:
-                    if not self._rotate():
-                        break
-                    thread = self.threads[self._current_index]
-                    slice_left = quantum
-                    continue
-                if slice_left <= 0:
-                    charge(switch_cost)
-                    if not self._rotate():
-                        break
-                    thread = self.threads[self._current_index]
-                    slice_left = quantum
-                    continue
-
-                frame = thread.frames[-1]
-                function = frame.function
-                ops = function.ops
-                args = function.args
-                pc = frame.pc
-                if pc >= len(ops):
-                    # Fell off the end of a void function: implicit return.
-                    thread.frames.pop()
-                    if thread.frames:
-                        continue
-                    thread.alive = False
-                    continue
-
-                if jit_blocks is not None:
-                    fn_blocks = jit_blocks[function.index]
-                    if fn_blocks is not None:
-                        block = fn_blocks[pc]
-                        # Entry guards: the block must fit strictly before
-                        # the next poll, within the scheduling slice and
-                        # the instruction budget, and the operand stack
-                        # must cover its worst-case pops — so no poll,
-                        # context switch, budget stop, or stack underflow
-                        # can occur mid-block.  Anything else runs on the
-                        # reference interpreter path below.
-                        while block is not None:
-                            if block.n < until_poll \
-                                    and block.n <= slice_left \
-                                    and len(frame.stack) >= block.min_stack \
-                                    and (limit is None
-                                         or icount + block.n
-                                         - executed_at_entry <= limit):
-                                break
-                            # Late in the poll window the superblock no
-                            # longer fits; a shorter variant might.
-                            block = block.fallback
-                        if block is not None:
-                            self.instruction_count = icount
-                            try:
-                                if block.loops:
-                                    # Self-loop blocks iterate in-function;
-                                    # the budget is how many whole blocks
-                                    # fit before the next poll/slice/limit
-                                    # boundary (>= 1 by the entry guards).
-                                    avail = until_poll - 1
-                                    if slice_left < avail:
-                                        avail = slice_left
-                                    if limit is not None:
-                                        rem = (limit - icount
-                                               + executed_at_entry)
-                                        if rem < avail:
-                                            avail = rem
-                                    block.run(self, thread, frame,
-                                              avail // block.n)
-                                else:
-                                    block.run(self, thread, frame)
-                            except GuestThrow as exc:
-                                done = self.instruction_count - icount
-                                icount = self.instruction_count
-                                slice_left -= done
-                                until_poll -= done
-                                # Side exit: profile before the unwind
-                                # rewrites the stack the block ran on.
-                                if profiler is not None:
-                                    profiler.block_boundary(thread,
-                                                            function, block)
-                                self._dispatch_exception(thread, exc.code)
-                            else:
-                                done = self.instruction_count - icount
-                                icount = self.instruction_count
-                                slice_left -= done
-                                until_poll -= done
-                                if profiler is not None:
-                                    profiler.block_boundary(thread,
-                                                            function, block)
-                            if limit is not None and \
-                                    icount - executed_at_entry >= limit:
-                                break
-                            continue
-
-                op = ops[pc]
-                arg = args[pc]
-
-                icount += 1
-                thread.executed += 1
-                slice_left -= 1
-                until_poll -= 1
-                if until_poll == 0:
-                    until_poll = poll_interval
-                    # The opcode sampler piggybacks on the poll stride so
-                    # its disabled cost stays off the per-instruction
-                    # path; the tier-up's hotness sampler rides the same
-                    # branch.
-                    if sampler is not None:
-                        sampler.record(op, function.index, pc)
-                    if jit is not None:
-                        jit.observe(function, pc, op)
-                    self.instruction_count = icount
-                    platform.on_quantum(self)
-                    icount = self.instruction_count
-                    # After on_quantum the batched charges are flushed,
-                    # so the ledger the profiler reads here is current;
-                    # frame.pc still names the instruction being polled.
-                    if profiler is not None:
-                        profiler.poll(thread)
-                    if self.halted:
-                        break
-                charge(cost_of[op])
-                frame.pc = pc + 1
-
-                try:
-                    stack = frame.stack
-                    if op == OP_LOAD:
-                        mem(frame.base_vaddr + arg * _WORD)
-                        stack.append(frame.locals[arg])
-                    elif op == OP_STORE:
-                        mem(frame.base_vaddr + arg * _WORD)
-                        frame.locals[arg] = stack.pop()
-                    elif op == OP_ICONST or op == OP_FCONST:
-                        stack.append(arg)
-                    elif op == OP_IADD:
-                        b = stack.pop()
-                        stack[-1] = wrap(stack[-1] + b)
-                    elif op == OP_ISUB:
-                        b = stack.pop()
-                        stack[-1] = wrap(stack[-1] - b)
-                    elif op == OP_IMUL:
-                        b = stack.pop()
-                        stack[-1] = wrap(stack[-1] * b)
-                    elif op == OP_CMP:
-                        b = stack.pop()
-                        a = stack.pop()
-                        stack.append((a > b) - (a < b))
-                    elif OP_IFEQ <= op <= OP_IFGE:
-                        v = stack.pop()
-                        if op == OP_IFEQ:
-                            taken = v == 0
-                        elif op == OP_IFNE:
-                            taken = v != 0
-                        elif op == OP_IFLT:
-                            taken = v < 0
-                        elif op == OP_IFLE:
-                            taken = v <= 0
-                        elif op == OP_IFGT:
-                            taken = v > 0
-                        else:
-                            taken = v >= 0
-                        site = function.index * CODE_STRIDE + pc
-                        platform.branch(site, taken)
-                        if taken:
-                            frame.pc = arg
-                            fetch(CODE_BASE + function.index * CODE_STRIDE
-                                  + arg * 4)
-                    elif op == OP_GOTO:
-                        frame.pc = arg
-                        fetch(CODE_BASE + function.index * CODE_STRIDE
-                              + arg * 4)
-                    elif op == OP_ALOAD:
-                        idx = stack.pop()
-                        obj = heap.get(stack.pop())
-                        data = obj.data
-                        if idx < 0 or idx >= len(data):
-                            raise GuestThrow(EXC_INDEX_OUT_OF_BOUNDS)
-                        mem(obj.vaddr + 16 + idx * _WORD)
-                        stack.append(data[idx])
-                    elif op == OP_ASTORE:
-                        value = stack.pop()
-                        idx = stack.pop()
-                        obj = heap.get(stack.pop())
-                        data = obj.data
-                        if idx < 0 or idx >= len(data):
-                            raise GuestThrow(EXC_INDEX_OUT_OF_BOUNDS)
-                        mem(obj.vaddr + 16 + idx * _WORD)
-                        data[idx] = value
-                    elif op == OP_ARRAYLEN:
-                        stack.append(len(heap.get(stack.pop()).data))
-                    elif op == OP_FADD:
-                        b = stack.pop()
-                        stack[-1] = stack[-1] + b
-                    elif op == OP_FSUB:
-                        b = stack.pop()
-                        stack[-1] = stack[-1] - b
-                    elif op == OP_FMUL:
-                        b = stack.pop()
-                        stack[-1] = stack[-1] * b
-                    elif op == OP_FDIV:
-                        b = stack.pop()
-                        if b == 0.0:
-                            raise GuestThrow(EXC_DIV_BY_ZERO)
-                        stack[-1] = stack[-1] / b
-                    elif op == OP_IDIV:
-                        b = stack.pop()
-                        a = stack.pop()
-                        if b == 0:
-                            raise GuestThrow(EXC_DIV_BY_ZERO)
-                        q = abs(a) // abs(b)
-                        if (a < 0) != (b < 0):
-                            q = -q
-                        stack.append(wrap(q))
-                    elif op == OP_IREM:
-                        b = stack.pop()
-                        a = stack.pop()
-                        if b == 0:
-                            raise GuestThrow(EXC_DIV_BY_ZERO)
-                        q = abs(a) // abs(b)
-                        if (a < 0) != (b < 0):
-                            q = -q
-                        stack.append(wrap(a - q * b))
-                    elif op == OP_INEG:
-                        stack[-1] = wrap(-stack[-1])
-                    elif op == OP_ISHL:
-                        b = stack.pop() & 63
-                        stack[-1] = wrap(stack[-1] << b)
-                    elif op == OP_ISHR:
-                        b = stack.pop() & 63
-                        stack[-1] = stack[-1] >> b
-                    elif op == OP_IAND:
-                        b = stack.pop()
-                        stack[-1] = wrap(stack[-1] & b)
-                    elif op == OP_IOR:
-                        b = stack.pop()
-                        stack[-1] = wrap(stack[-1] | b)
-                    elif op == OP_IXOR:
-                        b = stack.pop()
-                        stack[-1] = wrap(stack[-1] ^ b)
-                    elif op == OP_FNEG:
-                        stack[-1] = -stack[-1]
-                    elif op == OP_I2F:
-                        stack[-1] = float(stack[-1])
-                    elif op == OP_F2I:
-                        stack[-1] = wrap(int(stack[-1]))
-                    elif op == OP_FSQRT:
-                        v = stack[-1]
-                        if v < 0.0:
-                            raise GuestThrow(EXC_DIV_BY_ZERO)
-                        stack[-1] = math.sqrt(v)
-                    elif op == OP_FSIN:
-                        stack[-1] = math.sin(stack[-1])
-                    elif op == OP_FCOS:
-                        stack[-1] = math.cos(stack[-1])
-                    elif op == OP_GLOAD:
-                        mem(GLOBALS_BASE + arg * _WORD)
-                        stack.append(globals_[arg])
-                    elif op == OP_GSTORE:
-                        mem(GLOBALS_BASE + arg * _WORD)
-                        globals_[arg] = stack.pop()
-                    elif op == OP_POP:
-                        stack.pop()
-                    elif op == OP_DUP:
-                        stack.append(stack[-1])
-                    elif op == OP_SWAP:
-                        stack[-1], stack[-2] = stack[-2], stack[-1]
-                    elif op == OP_NEWARRAY:
-                        length = stack.pop()
-                        kind = KIND_INT_ARRAY if arg == 0 \
-                            else KIND_FLOAT_ARRAY
-                        if length < 0:
-                            raise GuestThrow(EXC_INDEX_OUT_OF_BOUNDS)
-                        handle, gc_wanted = heap.new_array(kind, length)
-                        stack.append(handle)
-                        self._maybe_gc(gc_wanted)
-                    elif op == OP_NEWOBJ:
-                        class_def = classes[arg]
-                        handle, gc_wanted = heap.new_object(
-                            arg, class_def.size_slots)
-                        stack.append(handle)
-                        self._maybe_gc(gc_wanted)
-                    elif op == OP_GETFIELD:
-                        obj = heap.get(stack.pop())
-                        mem(obj.vaddr + 16 + arg * _WORD)
-                        stack.append(obj.data[arg])
-                    elif op == OP_PUTFIELD:
-                        value = stack.pop()
-                        obj = heap.get(stack.pop())
-                        mem(obj.vaddr + 16 + arg * _WORD)
-                        obj.data[arg] = value
-                    elif op == OP_CALL:
-                        callee = functions[arg]
-                        if len(thread.frames) >= MAX_CALL_DEPTH:
-                            raise GuestThrow(EXC_STACK_OVERFLOW)
-                        new_frame = Frame(
-                            callee, thread.frame_base(len(thread.frames)))
-                        for i in range(callee.num_params - 1, -1, -1):
-                            new_frame.locals[i] = stack.pop()
-                        thread.frames.append(new_frame)
-                        fetch(CODE_BASE + callee.index * CODE_STRIDE)
-                    elif op == OP_RET:
-                        thread.frames.pop()
-                        if thread.frames:
-                            caller = thread.frames[-1]
-                            fetch(CODE_BASE
-                                  + caller.function.index * CODE_STRIDE
-                                  + caller.pc * 4)
-                        else:
-                            thread.alive = False
-                    elif op == OP_RETV:
-                        result = stack.pop()
-                        thread.frames.pop()
-                        if thread.frames:
-                            caller = thread.frames[-1]
-                            caller.stack.append(result)
-                            fetch(CODE_BASE
-                                  + caller.function.index * CODE_STRIDE
-                                  + caller.pc * 4)
-                        else:
-                            thread.alive = False
-                    elif op == OP_THROW:
-                        raise GuestThrow(stack.pop())
-                    elif op == OP_NATIVE:
-                        # Natives observe (and may advance) the counter:
-                        # idle poll iterations, wait skipping.  Publish it
-                        # around the call and resync the poll countdown to
-                        # the modulo invariant.
-                        self.instruction_count = icount
-                        try:
-                            platform.native_call(arg, self)
-                        finally:
-                            icount = self.instruction_count
-                        until_poll = poll_interval - (icount % poll_interval)
-                    elif op == OP_HALT:
-                        self.halted = True
-                    elif op == OP_NOP:
-                        pass
-                    else:  # pragma: no cover - exhaustive above
-                        raise VMRuntimeError(f"unknown opcode {op}",
-                                             pc=pc, function=function.name)
-                except GuestThrow as exc:
-                    self._dispatch_exception(thread, exc.code)
-                    # A native may have advanced the counter before
-                    # throwing.
-                    until_poll = poll_interval - (icount % poll_interval)
-                except IndexError:
-                    raise VMRuntimeError(
-                        "operand stack underflow",
-                        pc=pc, function=function.name) from None
-
-                if limit is not None and \
-                        icount - executed_at_entry >= limit:
-                    break
-        finally:
-            self.instruction_count = icount
-
-        return self.instruction_count - executed_at_entry
+    # ``run`` is rendered from :data:`_RUN` below the class: one function
+    # whose dispatch ladder comes from the opcode table.
 
     # -- helpers for natives ----------------------------------------------------
 
@@ -650,3 +228,378 @@ class Interpreter:
     def push_result(self, value) -> None:
         """Push a native call's result."""
         self.current_thread.frames[-1].stack.append(value)
+
+
+# -- the dispatch ladder, rendered from the opcode table ------------------------
+
+#: The arms of the opcodes only the interpreter runs (rows without
+#: semantics), over ``run``'s locals.
+_HOST_ARMS = {
+    Op.NEWARRAY: """
+        length = stack.pop()
+        kind = KIND_INT_ARRAY if arg == 0 else KIND_FLOAT_ARRAY
+        if length < 0:
+            raise GuestThrow(EXC_INDEX_OUT_OF_BOUNDS)
+        handle, gc_wanted = heap.new_array(kind, length)
+        stack.append(handle)
+        self._maybe_gc(gc_wanted)""",
+    Op.NEWOBJ: """
+        handle, gc_wanted = heap.new_object(arg, classes[arg].size_slots)
+        stack.append(handle)
+        self._maybe_gc(gc_wanted)""",
+    Op.CALL: """
+        callee = functions[arg]
+        if len(thread.frames) >= MAX_CALL_DEPTH:
+            raise GuestThrow(EXC_STACK_OVERFLOW)
+        new_frame = Frame(callee, thread.frame_base(len(thread.frames)))
+        for i in range(callee.num_params - 1, -1, -1):
+            new_frame.locals[i] = stack.pop()
+        thread.frames.append(new_frame)
+        fetch(CODE_BASE + callee.index * CODE_STRIDE)""",
+    Op.RET: """
+        thread.frames.pop()
+        if thread.frames:
+            caller = thread.frames[-1]
+            fetch(CODE_BASE + caller.function.index * CODE_STRIDE
+                  + caller.pc * 4)
+        else:
+            thread.alive = False""",
+    Op.RETV: """
+        result = stack.pop()
+        thread.frames.pop()
+        if thread.frames:
+            caller = thread.frames[-1]
+            caller.stack.append(result)
+            fetch(CODE_BASE + caller.function.index * CODE_STRIDE
+                  + caller.pc * 4)
+        else:
+            thread.alive = False""",
+    Op.THROW: """
+        raise GuestThrow(stack.pop())""",
+    Op.NATIVE: """
+        # Natives observe (and may advance) the counter: idle poll
+        # iterations, wait skipping.  Publish it around the call and
+        # resync the poll countdown to the modulo invariant.
+        self.instruction_count = icount
+        try:
+            platform.native_call(arg, self)
+        finally:
+            icount = self.instruction_count
+        until_poll = poll_interval - (icount % poll_interval)""",
+    Op.HALT: """
+        self.halted = True""",
+}
+
+#: ``run``'s names for the row vocabulary (:class:`repro.vm.isa.Row`).
+_NAMES = {"L": "frame.locals", "G": "globals_", "O": "obj", "D": "data",
+          "arg": "arg"}
+_JUMP = ["frame.pc = arg",
+         "fetch(CODE_BASE + function.index * CODE_STRIDE + arg * 4)"]
+_LADDER_MARKER = "# @ladder: the dispatch arms, rendered at import"
+
+
+def _count(name: str, texts) -> int:
+    return sum(text.count("{%s}" % name) for text in texts)
+
+
+def _arm(row) -> list[str]:
+    """The arm running ``row``.  It works on the operand stack in place
+    where it can: a binary operation pops its top operand and overwrites
+    the other with its result, and an operand used once is read where it
+    is used."""
+    steps = [f"if {condition}:\n    raise GuestThrow({code})"
+             for condition, code in row.checks]
+    if row.mem is not None:
+        kind, addr = row.mem
+        steps.append(f"mem(frame.base_vaddr + {addr})" if kind == "frame"
+                     else f"mem({addr})")
+    steps += [row.put] if row.put else []
+    if "ref" in row.pops:
+        uses_data = "{D}" in "".join(steps + list(row.push))
+        steps[:0] = ["obj = heap.get({ref})"] + ["data = obj.data"] * uses_data
+    pops, pushes = list(row.pops), list(row.push)
+    # The bottom operand's slot takes the first result, unless that
+    # result is the operand itself (DUP).
+    bottom = pops.pop(0) if pops and pushes else None
+    assigns = ["stack.append({})"] * len(pushes)
+    if bottom is not None:
+        if pushes[0] == "{%s}" % bottom:
+            del pushes[0], assigns[0]
+        else:
+            assigns[0] = "stack[-1] = {}"
+    texts = steps + pushes
+    names = dict(_NAMES)
+    lines = []
+    for name in reversed(pops):
+        uses = _count(name, texts)
+        names[name] = name
+        if uses == 1 and name == pops[0] and bottom is None:
+            names[name] = "stack.pop()"
+        else:
+            lines.append(f"{name} = stack.pop()" if uses else "stack.pop()")
+    if bottom is not None:
+        names[bottom] = bottom
+        if _count(bottom, texts) == _count(bottom, steps + pushes[:1]) == 1:
+            names[bottom] = "stack[-1]"
+        elif _count(bottom, texts):
+            lines.append(f"{bottom} = stack[-1]")
+    lines += "\n".join(steps).format(**names).splitlines()
+    for assign, expr in zip(assigns, pushes):
+        expr = expr.format(**names)
+        lines += (render_wrap(assign, expr) if row.wrap
+                  else [assign.format(expr)])
+    return lines or ["pass"]
+
+
+def _branch_arm(conditional: list) -> list[str]:
+    lines = ["v = stack.pop()"]
+    for i, op in enumerate(conditional):
+        test = ("else" if i == len(conditional) - 1
+                else f"{'elif' if i else 'if'} op == {int(op)}")
+        lines += [f"{test}:", f"    taken = {ROWS[op].branch.format(v='v')}"]
+    return lines + ["platform.branch(function.index * CODE_STRIDE + pc, taken)",
+                    "if taken:"] + ["    " + line for line in _JUMP]
+
+
+def render_ladder() -> list[str]:
+    """The dispatch ladder: an arm per row of :data:`ROWS`, tested in
+    the table's order.  The conditional branches share one range-tested
+    arm, and consecutive rows that render alike share an arm."""
+    conditional = [op for op, row in ROWS.items() if row.branch]
+    assert conditional == list(range(conditional[0], conditional[-1] + 1))
+    arms: list[tuple[str, list[str]]] = []
+    for op, row in ROWS.items():
+        if row.branch:
+            if op != conditional[0]:
+                continue
+            test = f"{int(op)} <= op <= {int(conditional[-1])}"
+            body = _branch_arm(conditional)
+        else:
+            test = f"op == {int(op)}"
+            body = (textwrap.dedent(_HOST_ARMS[op]).strip().splitlines()
+                    if row.host else list(_JUMP) if row.kind == "target"
+                    else _arm(row))
+        if arms and arms[-1][1] == body:
+            arms[-1] = (f"{arms[-1][0]} or {test}", body)
+        else:
+            arms.append((test, body))
+    lines = []
+    for i, (test, body) in enumerate(arms):
+        lines.append(f"{'elif' if i else 'if'} {test}:")
+        lines += ["    " + line for line in body]
+    return lines + ["else:  # pragma: no cover - every opcode has a row",
+                    "    raise VMRuntimeError(f'unknown opcode {op}', pc=pc,"
+                    " function=function.name)"]
+
+
+#: ``Interpreter.run`` less its dispatch ladder, which goes in at the
+#: marker line.
+_RUN = r'''
+def run(self, max_instructions: int | None = None) -> int:
+    """Run until the program halts; returns instructions executed.
+
+    Raises :class:`GuestError` on an uncaught guest exception and
+    :class:`VMRuntimeError` on host-level faults (call-depth overflow
+    is converted into a guest StackOverflow first).
+    """
+    # Local aliases shave attribute lookups off the hot path: the
+    # platform fast paths, the program tables and the instruction
+    # counter (mirrored in ``icount``, synced back at every boundary
+    # a native or observer could read it).
+    platform = self.platform
+    charge = platform.charge
+    mem = platform.mem_access
+    fetch = platform.fetch_access
+    cost_of = OPCODE_COST_LIST
+    sampler = self.sampler
+    profiler = self.profiler
+    jit = self.jit
+    jit_blocks = jit.blocks if jit is not None else None
+    poll_interval = self.config.poll_interval
+    quantum = self.config.thread_quantum
+    switch_cost = self.config.context_switch_cost
+    heap = self.heap
+    globals_ = self.globals
+    functions = self.program.functions
+    classes = self.program.classes
+    limit = max_instructions
+    executed_at_entry = self.instruction_count
+    icount = self.instruction_count
+
+    if not any(t.alive for t in self.threads):
+        return 0
+    if not self.threads[self._current_index].alive:
+        if not self._rotate():
+            return 0
+
+    thread = self.threads[self._current_index]
+    slice_left = quantum
+    # Instructions until the next platform poll: a countdown beats a
+    # modulo on every instruction.  Poll points stay exactly at
+    # instruction_count % poll_interval == 0; the countdown is
+    # resynced whenever a native mutates the counter (idle polls,
+    # naive-replay wait skipping).
+    until_poll = poll_interval - (icount % poll_interval)
+
+    try:
+        while not self.halted:
+            if not thread.frames:
+                thread.alive = False
+            if not thread.alive:
+                if not self._rotate():
+                    break
+                thread = self.threads[self._current_index]
+                slice_left = quantum
+                continue
+            if slice_left <= 0:
+                charge(switch_cost)
+                if not self._rotate():
+                    break
+                thread = self.threads[self._current_index]
+                slice_left = quantum
+                continue
+
+            frame = thread.frames[-1]
+            function = frame.function
+            ops = function.ops
+            args = function.args
+            pc = frame.pc
+            if pc >= len(ops):
+                # Fell off the end of a void function: implicit return.
+                thread.frames.pop()
+                if thread.frames:
+                    continue
+                thread.alive = False
+                continue
+
+            if jit_blocks is not None:
+                fn_blocks = jit_blocks[function.index]
+                if fn_blocks is not None:
+                    block = fn_blocks[pc]
+                    # Entry guards: the block must fit strictly before
+                    # the next poll, within the scheduling slice and
+                    # the instruction budget, and the operand stack
+                    # must cover its worst-case pops — so no poll,
+                    # context switch, budget stop, or stack underflow
+                    # can occur mid-block.  Anything else runs on the
+                    # reference interpreter path below.
+                    while block is not None:
+                        if block.n < until_poll \
+                                and block.n <= slice_left \
+                                and len(frame.stack) >= block.min_stack \
+                                and (limit is None
+                                     or icount + block.n
+                                     - executed_at_entry <= limit):
+                            break
+                        # Late in the poll window the superblock no
+                        # longer fits; a shorter variant might.
+                        block = block.fallback
+                    if block is not None:
+                        self.instruction_count = icount
+                        thrown = None
+                        try:
+                            if block.loops:
+                                # Self-loop blocks iterate in-function;
+                                # the budget is how many whole blocks
+                                # fit before the next poll/slice/limit
+                                # boundary (>= 1 by the entry guards).
+                                avail = until_poll - 1
+                                if slice_left < avail:
+                                    avail = slice_left
+                                if limit is not None:
+                                    rem = (limit - icount
+                                           + executed_at_entry)
+                                    if rem < avail:
+                                        avail = rem
+                                block.run(self, thread, frame,
+                                          avail // block.n)
+                            else:
+                                block.run(self, thread, frame)
+                        except GuestThrow as exc:
+                            thrown = exc.code
+                        done = self.instruction_count - icount
+                        icount = self.instruction_count
+                        slice_left -= done
+                        until_poll -= done
+                        # On a side exit, profile before the unwind
+                        # rewrites the stack the block ran on.
+                        if profiler is not None:
+                            profiler.block_boundary(thread, function,
+                                                    block)
+                        if thrown is not None:
+                            self._dispatch_exception(thread, thrown)
+                        if limit is not None and \
+                                icount - executed_at_entry >= limit:
+                            break
+                        continue
+
+            op = ops[pc]
+            arg = args[pc]
+
+            icount += 1
+            thread.executed += 1
+            slice_left -= 1
+            until_poll -= 1
+            if until_poll == 0:
+                until_poll = poll_interval
+                # The opcode sampler piggybacks on the poll stride so
+                # its disabled cost stays off the per-instruction
+                # path; the tier-up's hotness sampler rides the same
+                # branch.
+                if sampler is not None:
+                    sampler.record(op, function.index, pc)
+                if jit is not None:
+                    jit.observe(function, pc, op)
+                self.instruction_count = icount
+                platform.on_quantum(self)
+                icount = self.instruction_count
+                # After on_quantum the batched charges are flushed,
+                # so the ledger the profiler reads here is current;
+                # frame.pc still names the instruction being polled.
+                if profiler is not None:
+                    profiler.poll(thread)
+                if self.halted:
+                    break
+            charge(cost_of[op])
+            frame.pc = pc + 1
+
+            try:
+                stack = frame.stack
+                # @ladder: the dispatch arms, rendered at import
+            except GuestThrow as exc:
+                self._dispatch_exception(thread, exc.code)
+                # A native may have advanced the counter before
+                # throwing.
+                until_poll = poll_interval - (icount % poll_interval)
+            except IndexError:
+                raise VMRuntimeError(
+                    "operand stack underflow",
+                    pc=pc, function=function.name) from None
+
+            if limit is not None and \
+                    icount - executed_at_entry >= limit:
+                break
+    finally:
+        self.instruction_count = icount
+
+    return self.instruction_count - executed_at_entry
+'''
+
+
+def _render_run() -> str:
+    lines = _RUN.splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.strip() == _LADDER_MARKER)
+    indent = lines[at][:len(lines[at]) - len(lines[at].lstrip())]
+    lines[at:at + 1] = [indent + line for line in render_ladder()]
+    return "\n".join(lines)
+
+
+#: ``Interpreter.run`` as it runs.  It is compiled once per process,
+#: under this file's name, so host profiles charge it to the
+#: interpreter.
+RUN_SOURCE = _render_run()
+_scope: dict = {}
+exec(compile(RUN_SOURCE, __file__, "exec"), globals(), _scope)  # noqa: S102
+_scope["run"].__qualname__ = "Interpreter.run"
+Interpreter.run = _scope["run"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import VMLoadError
-from repro.vm.isa import Op
+from repro.vm.isa import BRANCH_OPS, CONDITIONAL_OPS, OPERAND_KIND, Op
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ class Function:
                 return handler
         return None
 
-    def branch_targets(self) -> set[int]:
-        """All pcs this function's branches (IFxx/GOTO) can jump to."""
-        branch_ops = (Op.IFEQ, Op.IFNE, Op.IFLT, Op.IFLE, Op.IFGT,
-                      Op.IFGE, Op.GOTO)
-        return {arg for op, arg in zip(self.ops, self.args)
-                if op in branch_ops}
-
     def region_heads(self) -> list[int]:
         """Candidate entry pcs for straight-line region compilation.
 
@@ -82,13 +75,12 @@ class Function:
         region compiler may fuse it into one superinstruction.
         """
         length = len(self.ops)
-        heads = {0} | self.branch_targets()
-        conditional = (Op.IFEQ, Op.IFNE, Op.IFLT, Op.IFLE, Op.IFGT,
-                       Op.IFGE)
-        for pc, op in enumerate(self.ops):
-            if op in conditional or op == Op.CALL or op == Op.NATIVE:
-                if pc + 1 < length:
-                    heads.add(pc + 1)
+        heads = {0}
+        for pc, (op, arg) in enumerate(zip(self.ops, self.args)):
+            if op in BRANCH_OPS:
+                heads.add(arg)
+            if op in CONDITIONAL_OPS or op == Op.CALL or op == Op.NATIVE:
+                heads.add(pc + 1)
         for handler in self.handlers:
             heads.add(handler.handler_pc)
         return sorted(h for h in heads if 0 <= h < length)
@@ -158,40 +150,24 @@ class Program:
         return len(self.global_names)
 
     def _validate(self) -> None:
-        """Static checks: branch targets, call indices, slot bounds."""
-        num_funcs = len(self.functions)
+        """Static checks: operands in range for their kind, handlers."""
         for function in self.functions:
             length = function.code_length
             if len(function.args) != length:
                 raise VMLoadError(
                     f"function '{function.name}': ops/args length mismatch")
+            # Operand kind -> (what the operand names, its bound).
+            bounds = {"target": ("branch target", length),
+                      "func": ("call index", len(self.functions)),
+                      "slot": ("local slot", function.num_locals),
+                      "global": ("global", self.num_globals),
+                      "class": ("class", len(self.classes))}
             for pc, (op, arg) in enumerate(zip(function.ops, function.args)):
-                if op in (Op.IFEQ, Op.IFNE, Op.IFLT, Op.IFLE, Op.IFGT,
-                          Op.IFGE, Op.GOTO):
-                    if not 0 <= arg < length:
-                        raise VMLoadError(
-                            f"function '{function.name}' pc={pc}: branch "
-                            f"target {arg} out of range")
-                elif op == Op.CALL:
-                    if not 0 <= arg < num_funcs:
-                        raise VMLoadError(
-                            f"function '{function.name}' pc={pc}: call "
-                            f"index {arg} out of range")
-                elif op in (Op.LOAD, Op.STORE):
-                    if not 0 <= arg < function.num_locals:
-                        raise VMLoadError(
-                            f"function '{function.name}' pc={pc}: local "
-                            f"slot {arg} out of range")
-                elif op in (Op.GLOAD, Op.GSTORE):
-                    if not 0 <= arg < self.num_globals:
-                        raise VMLoadError(
-                            f"function '{function.name}' pc={pc}: global "
-                            f"{arg} out of range")
-                elif op == Op.NEWOBJ:
-                    if not 0 <= arg < len(self.classes):
-                        raise VMLoadError(
-                            f"function '{function.name}' pc={pc}: class "
-                            f"{arg} out of range")
+                what, bound = bounds.get(OPERAND_KIND.get(op), (None, 0))
+                if what is not None and not 0 <= arg < bound:
+                    raise VMLoadError(
+                        f"function '{function.name}' pc={pc}: {what} "
+                        f"{arg} out of range")
             for handler in function.handlers:
                 if not (0 <= handler.start_pc <= handler.end_pc <= length
                         and 0 <= handler.handler_pc < length):

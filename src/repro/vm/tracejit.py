@@ -5,7 +5,10 @@ bytecode.  For hot code — detected by the opcode sampler that already
 piggybacks on the platform-poll branch — this module compiles
 straight-line bytecode regions into fused Python closures
 ("superinstructions"): one generated function executes the whole region
-and pre-sums its per-instruction cycle costs.  On a batched platform the
+and pre-sums its per-instruction cycle costs.  Each instruction's code
+is rendered from its row of :data:`repro.vm.isa.ROWS`, the table the
+interpreter renders its dispatch ladder from, so the two tiers share
+one statement of every opcode's semantics.  On a batched platform the
 block inlines the platform's templates (:meth:`Platform.mem_inline`):
 each memory access, rendered as a repeat hit when it touches the line
 the previous access on its path touched, and the block's charge, in
@@ -42,9 +45,10 @@ Time determinism is the design constraint, not an afterthought:
   exception dispatch.
 
 * **Excluded opcodes.**  Calls/returns, allocation (GC), ``THROW``,
-  ``NATIVE`` (I/O, time reads, covert-channel hooks) and ``HALT`` never
-  appear inside a block — regions stop before them — so every observable
-  interaction still happens on the interpreter's reference path.
+  ``NATIVE`` (I/O, time reads, covert-channel hooks) and ``HALT`` have
+  rows without semantics and never appear inside a block — regions stop
+  before them — so every observable interaction still happens on the
+  interpreter's reference path.
 
 ``REPRO_NO_JIT=1`` disables the tier-up entirely; the differential
 harness (``tests/test_tracejit.py``) proves cycles, ledger sums,
@@ -54,20 +58,18 @@ on and off, mirroring the ``REPRO_NO_BATCH`` harness of PR 3.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import TYPE_CHECKING
 
 from repro.vm.heap import GuestThrow
-from repro.vm.isa import OPCODE_COST_LIST, Op
+from repro.vm.isa import (CODE_BASE, CODE_STRIDE, GLOBALS_BASE,
+                          OPCODE_COST_LIST, ROWS, render_wrap)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.platform import Platform
     from repro.vm.program import Function, Program
-
-#: Keep in sync with the interpreter's virtual memory map (imported
-#: lazily below to avoid a hard import cycle at module load).
-_WORD = 8
 
 
 def jit_enabled() -> bool:
@@ -75,53 +77,40 @@ def jit_enabled() -> bool:
     return os.environ.get("REPRO_NO_JIT", "") != "1"
 
 
-#: Conditional branches and their Python condition on the popped value.
-_COND_EXPR = {
-    Op.IFEQ: "== 0", Op.IFNE: "!= 0", Op.IFLT: "< 0",
-    Op.IFLE: "<= 0", Op.IFGT: "> 0", Op.IFGE: ">= 0",
-}
-
-#: Opcodes that end a region and are *included* in the compiled block.
-_TERMINATORS = frozenset(_COND_EXPR) | {Op.GOTO}
-
-#: Opcodes a block must never contain: observable boundaries (natives do
-#: I/O / clock reads / covert hooks, HALT ends the run), frame-shape
-#: changes (calls/returns), allocation (may trigger GC), and explicit
-#: throws.  Regions stop *before* these; the interpreter runs them.
-_UNCOMPILABLE = frozenset({
-    Op.NEWARRAY, Op.NEWOBJ, Op.CALL, Op.RET, Op.RETV, Op.THROW,
-    Op.NATIVE, Op.HALT,
-})
-
-#: (pops, pushes) per compilable opcode, for the static stack-depth
-#: analysis that makes operand-stack underflow inside a block impossible.
-_STACK_EFFECT = {
-    Op.NOP: (0, 0), Op.ICONST: (0, 1), Op.FCONST: (0, 1), Op.POP: (1, 0),
-    Op.DUP: (1, 2), Op.SWAP: (2, 2),
-    Op.LOAD: (0, 1), Op.STORE: (1, 0), Op.GLOAD: (0, 1), Op.GSTORE: (1, 0),
-    Op.IADD: (2, 1), Op.ISUB: (2, 1), Op.IMUL: (2, 1), Op.IDIV: (2, 1),
-    Op.IREM: (2, 1), Op.INEG: (1, 1), Op.ISHL: (2, 1), Op.ISHR: (2, 1),
-    Op.IAND: (2, 1), Op.IOR: (2, 1), Op.IXOR: (2, 1),
-    Op.FADD: (2, 1), Op.FSUB: (2, 1), Op.FMUL: (2, 1), Op.FDIV: (2, 1),
-    Op.FNEG: (1, 1),
-    Op.I2F: (1, 1), Op.F2I: (1, 1), Op.FSQRT: (1, 1), Op.FSIN: (1, 1),
-    Op.FCOS: (1, 1),
-    Op.CMP: (2, 1),
-    Op.IFEQ: (1, 0), Op.IFNE: (1, 0), Op.IFLT: (1, 0), Op.IFLE: (1, 0),
-    Op.IFGT: (1, 0), Op.IFGE: (1, 0), Op.GOTO: (0, 0),
-    Op.ALOAD: (2, 1), Op.ASTORE: (3, 0), Op.ARRAYLEN: (1, 1),
-    Op.GETFIELD: (1, 1), Op.PUTFIELD: (2, 0),
-}
-
-#: In-place wrapping binary integer ops (pop b, wrap(stack[-1] OP b)).
-_INT_BINOPS = {Op.IADD: "+", Op.ISUB: "-", Op.IMUL: "*",
-               Op.IAND: "&", Op.IOR: "|", Op.IXOR: "^"}
-#: In-place float binary ops (no wrap, no fault).
-_FLOAT_BINOPS = {Op.FADD: "+", Op.FSUB: "-", Op.FMUL: "*"}
-
 #: Minimum instructions (terminator included) worth fusing: below this
 #: the entry guards cost as much as the dispatch they replace.
 _MIN_BLOCK = 3
+
+#: Each row's templates joined, to test which names the row uses.
+_TEXT = {op: " ".join((*row.push, *(c for c, _ in row.checks),
+                       row.put or "", row.mem[1] if row.mem else ""))
+         for op, row in ROWS.items()}
+
+
+@functools.cache
+def _static(expr: str) -> int:
+    """The value of a row's constant address expression (its operands
+    are slot and global indices, so the cache stays small)."""
+    return eval(expr, {"GLOBALS_BASE": GLOBALS_BASE})  # noqa: S307
+
+
+def _retire(count, cycles, counter: str) -> list[str]:
+    """Lines counting ``count`` retired instructions and ``cycles`` base
+    cycles, and one more block ``counter`` ("entries", "side_exits")."""
+    return [f"vm.instruction_count += {count}", f"thread.executed += {count}",
+            f"_B.{counter} += 1", f"_B.instructions += {count}",
+            f"_B.cycles += {cycles}"]
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _pushback(slots: list[str]) -> list[str]:
+    """Lines writing the registerized stack ``slots`` back."""
+    if len(slots) == 1:
+        return [f"_s.append({slots[0]})"]
+    return [f"_s.extend(({', '.join(slots)}))"] if slots else []
 
 
 class CompiledBlock:
@@ -202,8 +191,9 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     """Scan, analyse and compile one region to a cacheable artifact.
 
     The region extends until (and including) the first branch, until the
-    first uncompilable opcode (excluded), or until ``max_len``; regions
-    shorter than ``_MIN_BLOCK`` are not worth the entry guards.
+    first opcode only the interpreter runs (excluded), or until
+    ``max_len``; regions shorter than ``_MIN_BLOCK`` are not worth the
+    entry guards.
 
     The operand stack is *registerized*: the region's stack effect is
     known statically, so stack slots become single-assignment Python
@@ -214,8 +204,6 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     exception dispatch either clears the frame's stack or discards the
     frame, so the mid-block stack contents were never live.
     """
-    from repro.vm.interpreter import CODE_BASE, CODE_STRIDE, GLOBALS_BASE
-
     ops = function.ops
     args = function.args
     length = len(ops)
@@ -223,27 +211,21 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     # Superblock scan: the region is the contiguous pc range from
     # ``head`` extended *through* forward conditional branches (each
     # becomes an in-block guard with an early exit) until a GOTO, a
-    # backward conditional (a loop back edge), an uncompilable opcode
-    # (excluded) or ``max_len``.  Contiguity is what keeps the side-exit
-    # pc arithmetic (``head + offset + 1``) valid.
-    goto_value = int(Op.GOTO)
+    # backward conditional (a loop back edge), an opcode only the
+    # interpreter runs (excluded) or ``max_len``.  Contiguity is what
+    # keeps the side-exit pc arithmetic (``head + offset + 1``) valid.
     picked: list[int] = []          # pcs included in the region
     terminator_pc: int | None = None
     pc = head
     while pc < length and len(picked) < max_len:
-        op = ops[pc]
-        if op in _UNCOMPILABLE:
+        row = ROWS[ops[pc]]
+        if row.host:
             break
         picked.append(pc)
-        if op == goto_value:
+        if row.kind == "target" and (row.branch is None or not extend_guards
+                                     or args[pc] <= pc):
             terminator_pc = pc
             break
-        if op in _COND_EXPR:
-            if not extend_guards or args[pc] <= pc:
-                terminator_pc = pc
-                break
-            pc += 1           # forward conditional: in-block guard
-            continue
         pc += 1
     n = len(picked)
     if n < _MIN_BLOCK:
@@ -254,9 +236,9 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     depth = 0
     need = 0
     for pc in picked:
-        pops, pushes = _STACK_EFFECT[Op(ops[pc])]
-        need = max(need, pops - depth)
-        depth += pushes - pops
+        row = ROWS[ops[pc]]
+        need = max(need, len(row.pops) - depth)
+        depth += len(row.push) - len(row.pops)
 
     # Pre-summed charging data.  ``classes`` drive the generic per-
     # instruction replay, ``bases`` the batched exact loop; ``total`` is
@@ -282,7 +264,6 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         "_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos,
         "_CLS": classes, "_BAS": bases, "_TOT": total,
         "_PFX": prefix,
-        "_M": (1 << 64) - 1, "_S": 1 << 63, "_W": 1 << 64,
     }
 
     # Platforms may provide source templates for the memory path and the
@@ -297,10 +278,10 @@ def _build_region(function: "Function", head: int, platform: "Platform",
 
     body: list[str] = []
     #: Compile-time model of the operand stack: entry slots ``_e*`` then
-    #: single-assignment temporaries ``_t*``.  Aliasing (DUP) and
-    #: reordering (SWAP) are free — they only shuffle names.
+    #: single-assignment temporaries, ``_t{k}`` for the result of the
+    #: instruction at offset ``k``.  Aliasing (DUP) and reordering (SWAP)
+    #: are free — they only shuffle names.
     vstack = [f"_e{i}" for i in range(need)]
-    temp_count = 0
     uses_locals = uses_globals = uses_heap = False
     has_faults = False
     cond_value: str | None = None
@@ -319,213 +300,93 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         body.extend(access_lines(expr, key))
         last_key = key
 
-    def fetch_lines(addr: int, ind: str = "") -> list[str]:
+    def fetch_lines(addr: int) -> list[str]:
         # Fetches of branch targets end their path: they never become
         # the previous access of another.
         if inline is None:
-            return [f"{ind}_fetch({addr})"]
-        return [ind + line for line in access_lines(addr, line_key(addr))]
+            return [f"_fetch({addr})"]
+        return access_lines(addr, line_key(addr))
 
     def line_key(addr: int, frame: bool = False):
         return None if inline is None else inline.line_key(addr, frame)
 
-    def vpop() -> str:
-        return vstack.pop()
-
-    def vpush() -> str:
-        nonlocal temp_count
-        name = f"_t{temp_count}"
-        temp_count += 1
-        vstack.append(name)
-        return name
-
-    def wrap_push(expr: str) -> None:
-        body.append(f"_v = ({expr}) & _M")
-        body.append(f"{vpush()} = _v - _W if _v & _S else _v")
-
     for k, pc in enumerate(picked):
-        op = Op(ops[pc])
+        op = ops[pc]
+        row = ROWS[op]
         arg = args[pc]
-
-        def fault_site() -> None:
-            nonlocal has_faults
-            has_faults = True
-            prefix[k] = (classes[:k + 1], bases[:k + 1],
-                         sum(bases[:k + 1]))
-            body.append(f"_i = {k}")
-
         if pc == terminator_pc:
-            if op is not Op.GOTO:
-                cond_value = vpop()
+            if row.branch:
+                cond_value = row.branch.format(v=vstack.pop())
             break  # terminator semantics live in the epilogue
-        if op in _COND_EXPR:
+        if row.branch:
             # Mid-region guard: the taken path leaves the block early
             # with the operand stack written back, the instruction-
             # prefix charged, the counters advanced over the k+1
             # retired instructions, and the branch target fetched —
             # byte-for-byte what the interpreter would have done.
-            cond = vpop()
             gsite = function.index * CODE_STRIDE + pc
-            gtarget = arg
             pfx_total = sum(bases[:k + 1])
             consts[f"_GC{k}"] = classes[:k + 1]
             consts[f"_GB{k}"] = bases[:k + 1]
-            body.append(f"_tk = {cond} {_COND_EXPR[op]}")
+            body.append(f"_tk = {row.branch.format(v=vstack.pop())}")
             body.append(f"_branch({gsite}, _tk)")
             body.append("if _tk:")
-            if len(vstack) == 1:
-                body.append(f"    _s.append({vstack[0]})")
-            elif vstack:
-                body.append(f"    _s.extend(({', '.join(vstack)}))")
-            body.append(f"    _charge_block(_GC{k}, _GB{k}, {pfx_total})")
-            body.append(f"    vm.instruction_count += {k + 1}")
-            body.append(f"    thread.executed += {k + 1}")
-            body.append("    _B.side_exits += 1")
-            body.append(f"    _B.instructions += {k + 1}")
-            body.append(f"    _B.cycles += {pfx_total}")
-            body.append(f"    frame.pc = {gtarget}")
-            body += fetch_lines(code_window + gtarget * 4, "    ")
-            body.append("    return")
+            body += _indent(_pushback(vstack)
+                            + [f"_charge_block(_GC{k}, _GB{k}, {pfx_total})"]
+                            + _retire(k + 1, pfx_total, "side_exits")
+                            + [f"frame.pc = {arg}"]
+                            + fetch_lines(code_window + arg * 4) + ["return"])
             continue
-        if op is Op.LOAD:
-            uses_locals = True
-            offset = arg * _WORD
-            emit_mem(f"_base + {offset}", line_key(offset, frame=True))
-            body.append(f"{vpush()} = _L[{arg}]")
-        elif op is Op.STORE:
-            uses_locals = True
-            offset = arg * _WORD
-            emit_mem(f"_base + {offset}", line_key(offset, frame=True))
-            body.append(f"_L[{arg}] = {vpop()}")
-        elif op is Op.ICONST or op is Op.FCONST:
-            # The constant itself becomes the stack slot: every vstack
-            # name is single-assignment, so aliasing it is safe and the
-            # value needs no repr round-trip (it rides the namespace).
-            name = f"_K{k}"
-            consts[name] = arg
-            vstack.append(name)
-        elif op in _INT_BINOPS:
-            b = vpop()
-            a = vpop()
-            wrap_push(f"{a} {_INT_BINOPS[op]} {b}")
-        elif op is Op.CMP:
-            b = vpop()
-            a = vpop()
-            body.append(f"{vpush()} = ({a} > {b}) - ({a} < {b})")
-        elif op is Op.ALOAD:
+        # The row's semantics over the registerized stack: operands are
+        # stack-slot names, and a result that is an operand or the
+        # instruction's operand (DUP, SWAP, ICONST) aliases it.
+        text = _TEXT[op]
+        names = {"L": "_L", "G": "_G", "O": "_o", "D": "_d"}
+        if "{arg}" in text:
+            if type(arg) is int and -1 << 63 <= arg < 1 << 63:
+                names["arg"] = repr(arg) if arg >= 0 else f"({arg})"
+            else:
+                names["arg"] = f"_K{k}"
+                consts[f"_K{k}"] = arg
+        for name in reversed(row.pops):
+            names[name] = vstack.pop()
+        uses_locals |= "{L}" in text
+        uses_globals |= "{G}" in text
+        if row.checks or "ref" in row.pops:
+            # A fault site: record the offset for the side exit.
+            has_faults = True
+            prefix[k] = (classes[:k + 1], bases[:k + 1],
+                         sum(bases[:k + 1]))
+            body.append(f"_i = {k}")
+        if "ref" in row.pops:
             uses_heap = True
-            fault_site()
-            idx = vpop()
-            ref = vpop()
-            body.append(f"_o = _hget({ref})")
-            body.append("_d = _o.data")
-            body.append(f"if {idx} < 0 or {idx} >= len(_d):")
-            body.append("    raise _GT(-2)")
-            emit_mem(f"_o.vaddr + 16 + {idx} * {_WORD}")
-            body.append(f"{vpush()} = _d[{idx}]")
-        elif op is Op.ASTORE:
-            uses_heap = True
-            fault_site()
-            value = vpop()
-            idx = vpop()
-            ref = vpop()
-            body.append(f"_o = _hget({ref})")
-            body.append("_d = _o.data")
-            body.append(f"if {idx} < 0 or {idx} >= len(_d):")
-            body.append("    raise _GT(-2)")
-            emit_mem(f"_o.vaddr + 16 + {idx} * {_WORD}")
-            body.append(f"_d[{idx}] = {value}")
-        elif op is Op.ARRAYLEN:
-            uses_heap = True
-            fault_site()
-            ref = vpop()
-            body.append(f"{vpush()} = len(_hget({ref}).data)")
-        elif op in _FLOAT_BINOPS:
-            b = vpop()
-            a = vpop()
-            body.append(f"{vpush()} = {a} {_FLOAT_BINOPS[op]} {b}")
-        elif op is Op.FDIV:
-            fault_site()
-            b = vpop()
-            a = vpop()
-            body.append(f"if {b} == 0.0:")
-            body.append("    raise _GT(-1)")
-            body.append(f"{vpush()} = {a} / {b}")
-        elif op is Op.IDIV or op is Op.IREM:
-            fault_site()
-            b = vpop()
-            a = vpop()
-            body.append(f"if {b} == 0:")
-            body.append("    raise _GT(-1)")
-            body.append(f"_q = abs({a}) // abs({b})")
-            body.append(f"if ({a} < 0) != ({b} < 0):")
-            body.append("    _q = -_q")
-            wrap_push("_q" if op is Op.IDIV else f"{a} - _q * {b}")
-        elif op is Op.INEG:
-            wrap_push(f"-{vpop()}")
-        elif op is Op.ISHL:
-            b = vpop()
-            a = vpop()
-            wrap_push(f"{a} << ({b} & 63)")
-        elif op is Op.ISHR:
-            b = vpop()
-            a = vpop()
-            body.append(f"{vpush()} = {a} >> ({b} & 63)")
-        elif op is Op.FNEG:
-            a = vpop()
-            body.append(f"{vpush()} = -{a}")
-        elif op is Op.I2F:
-            a = vpop()
-            body.append(f"{vpush()} = float({a})")
-        elif op is Op.F2I:
-            wrap_push(f"int({vpop()})")
-        elif op is Op.FSQRT:
-            fault_site()
-            a = vpop()
-            body.append(f"if {a} < 0.0:")
-            body.append("    raise _GT(-1)")
-            body.append(f"{vpush()} = _sqrt({a})")
-        elif op is Op.FSIN:
-            a = vpop()
-            body.append(f"{vpush()} = _sin({a})")
-        elif op is Op.FCOS:
-            a = vpop()
-            body.append(f"{vpush()} = _cos({a})")
-        elif op is Op.GLOAD:
-            uses_globals = True
-            addr = GLOBALS_BASE + arg * _WORD
-            emit_mem(addr, line_key(addr))
-            body.append(f"{vpush()} = _G[{arg}]")
-        elif op is Op.GSTORE:
-            uses_globals = True
-            addr = GLOBALS_BASE + arg * _WORD
-            emit_mem(addr, line_key(addr))
-            body.append(f"_G[{arg}] = {vpop()}")
-        elif op is Op.POP:
-            vpop()  # the value was already computed; discarding is free
-        elif op is Op.DUP:
-            vstack.append(vstack[-1])
-        elif op is Op.SWAP:
-            vstack[-1], vstack[-2] = vstack[-2], vstack[-1]
-        elif op is Op.GETFIELD:
-            uses_heap = True
-            fault_site()
-            ref = vpop()
-            body.append(f"_o = _hget({ref})")
-            emit_mem(f"_o.vaddr + {16 + arg * _WORD}")
-            body.append(f"{vpush()} = _o.data[{arg}]")
-        elif op is Op.PUTFIELD:
-            uses_heap = True
-            fault_site()
-            value = vpop()
-            ref = vpop()
-            body.append(f"_o = _hget({ref})")
-            emit_mem(f"_o.vaddr + {16 + arg * _WORD}")
-            body.append(f"_o.data[{arg}] = {value}")
-        elif op is Op.NOP:
-            pass
-        else:  # pragma: no cover - every compilable op handled above
-            return None
+            body.append(f"_o = _hget({names['ref']})")
+            if "{D}" in text:
+                body.append("_d = _o.data")
+        for condition, code in row.checks:
+            body.append(f"if {condition.format(**names)}:")
+            body.append(f"    raise _GT({code})")
+        if row.mem is not None:
+            kind, addr = row.mem
+            addr = addr.format(**names)
+            if kind == "heap":
+                emit_mem(addr)
+            else:
+                # A frame offset or a constant address: a static line key.
+                value, frame = _static(addr), kind == "frame"
+                uses_locals |= frame
+                emit_mem(f"_base + {value}" if frame else value,
+                         line_key(value, frame))
+        if row.put:
+            body.append(row.put.format(**names))
+        for expr in row.push:
+            if expr[1:-1] in names:
+                vstack.append(names[expr[1:-1]])
+                continue
+            expr = expr.format(**names)
+            vstack.append(f"_t{k}")
+            body += (render_wrap(f"_t{k} = {{}}", expr) if row.wrap
+                     else [f"_t{k} = {expr}"])
 
     # Self-loop blocks: a terminator that branches back to this block's
     # own head with a balanced stack (exactly as many surviving slots as
@@ -545,70 +406,36 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     charge = "_charge_block(_CLS, _BAS, _TOT)"
     charge_lines = ([charge] if inline is None
                     else inline.charge(bases, charge))
-    charge_lines += [f"vm.instruction_count += {n}",
-                     f"thread.executed += {n}",
-                     "_B.entries += 1",
-                     f"_B.instructions += {n}",
-                     "_B.cycles += _TOT"]
-    pushback = []
-    if len(vstack) == 1:
-        pushback.append(f"_s.append({vstack[0]})")
-    elif vstack:
-        pushback.append(f"_s.extend(({', '.join(vstack)}))")
+    charge_lines += _retire(n, "_TOT", "entries")
+    pushback = _pushback(vstack)
 
     entry_names = [f"_e{i}" for i in range(need)]
     rebind = []
     if need and vstack != entry_names:
         rebind.append(f"{', '.join(entry_names)} = {', '.join(vstack)}")
 
-    if terminator_pc is not None:
-        top = Op(ops[terminator_pc])
-        target = args[terminator_pc]
-        fetch_addr = code_window + target * 4
-        site = function.index * CODE_STRIDE + terminator_pc
-
-    if loops:
-        # while-True epilogue: charge this iteration, then either take
-        # the back edge in-function (budget permitting) or break out
-        # with frame.pc set for the interpreter.
-        epilogue = list(charge_lines)
-        if top is Op.GOTO:
-            epilogue += fetch_lines(fetch_addr)
-            epilogue.append("_r -= 1")
-            epilogue.append("if _r > 0:")
-            epilogue += [f"    {line}" for line in rebind]
-            epilogue.append("    continue")
-            epilogue.append(f"frame.pc = {target}")
-            epilogue.append("break")
-        else:
-            epilogue.append(f"_tk = {cond_value} {_COND_EXPR[top]}")
-            epilogue.append(f"_branch({site}, _tk)")
-            epilogue.append("if _tk:")
-            epilogue += fetch_lines(fetch_addr, "    ")
-            epilogue.append("    _r -= 1")
-            epilogue.append("    if _r > 0:")
-            epilogue += [f"        {line}" for line in rebind]
-            epilogue.append("        continue")
-            epilogue.append(f"    frame.pc = {target}")
-            epilogue.append("else:")
-            epilogue.append(f"    frame.pc = {terminator_pc + 1}")
-            epilogue.append("break")
+    if terminator_pc is None:
+        epilogue = pushback + charge_lines + [f"frame.pc = {picked[-1] + 1}"]
     else:
-        epilogue = list(pushback) + charge_lines
-        if terminator_pc is None:
-            end_pc = picked[-1] + 1
-            epilogue.append(f"frame.pc = {end_pc}")
-        elif top is Op.GOTO:
-            epilogue.append(f"frame.pc = {target}")
-            epilogue += fetch_lines(fetch_addr)
+        target = args[terminator_pc]
+        if loops:
+            # while-True epilogue: charge this iteration, then either
+            # take the back edge in-function (budget permitting) or
+            # break out with frame.pc set for the interpreter.
+            taken = (fetch_lines(code_window + target * 4)
+                     + ["_r -= 1", "if _r > 0:"]
+                     + _indent(rebind + ["continue"])
+                     + [f"frame.pc = {target}"])
         else:
-            epilogue.append(f"_tk = {cond_value} {_COND_EXPR[top]}")
-            epilogue.append(f"_branch({site}, _tk)")
-            epilogue.append("if _tk:")
-            epilogue.append(f"    frame.pc = {target}")
-            epilogue += fetch_lines(fetch_addr, "    ")
-            epilogue.append("else:")
-            epilogue.append(f"    frame.pc = {terminator_pc + 1}")
+            taken = ([f"frame.pc = {target}"]
+                     + fetch_lines(code_window + target * 4))
+        if cond_value is not None:
+            site = function.index * CODE_STRIDE + terminator_pc
+            taken = ([f"_tk = {cond_value}", f"_branch({site}, _tk)",
+                      "if _tk:"] + _indent(taken)
+                     + ["else:", f"    frame.pc = {terminator_pc + 1}"])
+        epilogue = ((charge_lines + taken + ["break"]) if loops
+                    else pushback + charge_lines + taken)
 
     prologue = ["_s = frame.stack"]
     if need == 1:
@@ -627,39 +454,18 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     if uses_heap:
         prologue.append("_hget = vm.heap.get")
 
-    params = "vm, thread, frame, _r" if loops else "vm, thread, frame"
-    lines = [f"def _block({params}):"]
-    lines += [f"    {line}" for line in prologue]
-    inner = body + epilogue if loops else body
+    # A self-loop body iterates in-function and writes the stack back
+    # once it leaves; a throw anywhere leaves through the side exit.
+    main = ["while True:"] + _indent(body + epilogue) if loops else body
     if has_faults:
-        lines.append("    _i = 0")
-        lines.append("    try:")
-        if loops:
-            lines.append("        while True:")
-            lines += [f"            {line}" for line in inner]
-        else:
-            lines += [f"        {line}" for line in inner]
-        lines.append("    except _GT:")
-        lines.append("        _xc, _xb, _xt = _PFX[_i]")
-        lines.append("        _n = _i + 1")
-        lines.append("        _charge_block(_xc, _xb, _xt)")
-        lines.append("        vm.instruction_count += _n")
-        lines.append("        thread.executed += _n")
-        lines.append("        _B.side_exits += 1")
-        lines.append("        _B.instructions += _n")
-        lines.append("        _B.cycles += _xt")
-        lines.append(f"        frame.pc = {head} + _n")
-        lines.append("        raise")
-    elif loops:
-        lines.append("    while True:")
-        lines += [f"        {line}" for line in inner]
-    else:
-        lines += [f"    {line}" for line in inner]
-    if loops:
-        lines += [f"    {line}" for line in pushback]
-    else:
-        lines += [f"    {line}" for line in epilogue]
-    source = "\n".join(lines)
+        main = (["_i = 0", "try:"] + _indent(main) + ["except _GT:"]
+                + _indent(["_xc, _xb, _xt = _PFX[_i]", "_n = _i + 1",
+                           "_charge_block(_xc, _xb, _xt)",
+                           *_retire("_n", "_xt", "side_exits"),
+                           f"frame.pc = {head} + _n", "raise"]))
+    params = "vm, thread, frame, _r" if loops else "vm, thread, frame"
+    source = "\n".join([f"def _block({params}):"] + _indent(
+        prologue + main + (pushback if loops else epilogue)))
     code = compile(source, f"<tracejit {function.name}+{head}>", "exec")
     return {"code": code, "source": source, "n": n, "need": need,
             "loops": loops, "consts": consts}
