@@ -44,9 +44,10 @@ trace blocks inline those lines per access, and ``mem_access`` /
 L1 hit is an LRU move, so a machine whose L1 is not LRU runs the
 unbatched reference.  Compiled blocks get two more templates
 (DESIGN §4.3): the repeat hit, for an access to the line the previous
-access touched, and ``render_charge``, the closed-form block charge
-that ``charge_block`` also runs when no noise redraw falls inside the
-block.
+access touched, and ``render_charge``, the closed-form charge of a run
+of instructions with no noise redraw inside it.  The batched
+``charge_block`` splits its stream into such runs at each redraw, and
+the batched ``charge`` is a run of one instruction.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ _FACTORIES: dict = {}
 #: ``x - int(x)`` step as ``x % 1.0``, which is the same float for x >= 0.
 _CARRY = "_cf = ({} * _cc + _cf) % 1.0"
 
+#: The noise redraw between two runs.  The countdown restarts one above
+#: the period because the next run's first instruction is the one that
+#: redraws, and the carry passes through unchanged.
+_REDRAW = ["_cpu._until_redraw = _cpu.config.speculation_period + 1",
+           "_cpu._recompute_noise()"]
+
 
 def batching_enabled() -> bool:
     """Whether new platforms may use the batched charging fast path
@@ -94,17 +101,33 @@ def batching_enabled() -> bool:
     return os.environ.get("REPRO_NO_BATCH", "") != "1"
 
 
-def _closed_form(n, total, steps: list[str]) -> list[str]:
-    """Lines charging ``n`` instructions of base-cost sum ``total`` when
-    no noise redraw falls among them; ``steps`` advance the carry ``_cf``
-    over the instructions with :data:`_CARRY` (DESIGN §4.3)."""
-    return (["_cc = _cpu._combined",
-             "_cf = _cf0 = _cpu._frac"]
-            + steps
-            + ["_cpu._frac = _cf",
-               f"_cpu._until_redraw -= {n}",
-               f"_cpu._instructions += {n}",
-               f"_acc[{_ACC_INSTR}] += round(_cc * {total} + _cf0 - _cf)"])
+def _closed_form(n, total, steps: list[str] | None = None) -> list[str]:
+    """Lines charging a run of ``n`` instructions of base-cost sum
+    ``total`` when no noise redraw falls inside it (DESIGN §4.3).
+
+    ``steps`` advance the carry ``_cf`` over the instructions with
+    :data:`_CARRY`, and the run's cycles are the telescoped sum.  Without
+    ``steps`` the run is one instruction (``n`` is 1) of base cost
+    ``total``: it keeps ``x = total * c + f``, whose ``x % 1.0`` is the
+    carry and whose ``int(x)`` is that sum with fewer operations.
+    """
+    if steps is None:
+        carry = [f"_cx = {total} * _cpu._combined + _cpu._frac",
+                 "_cpu._frac = _cx % 1.0"]
+        cycles = "int(_cx)"
+    else:
+        carry = (["_cc = _cpu._combined", "_cf = _cf0 = _cpu._frac"]
+                 + steps + ["_cpu._frac = _cf"])
+        cycles = f"round(_cc * {total} + _cf0 - _cf)"
+    return carry + [f"_cpu._until_redraw -= {n}",
+                    f"_cpu._instructions += {n}",
+                    f"_acc[{_ACC_INSTR}] += {cycles}"]
+
+
+def _looped(n, total, costs: str) -> list[str]:
+    """:func:`_closed_form` over the base costs in the sequence ``costs``."""
+    return _closed_form(n, total, [f"for _cb in {costs}:",
+                                   "    " + _CARRY.format("_cb")])
 
 
 def render_charge(bases, fallback: str) -> list[str]:
@@ -118,39 +141,53 @@ def render_charge(bases, fallback: str) -> list[str]:
             + ["else:", "    " + fallback])
 
 
+#: The batched ``charge(cost_class)``: a one-instruction run, after the
+#: redraw when the countdown is at 1.
+_CHARGE = (["if _cpu._until_redraw == 1:"]
+           + ["    " + line for line in _REDRAW]
+           + _closed_form(1, "_costs[cost_class]"))
+
 #: The batched ``charge_block(cost_classes, base_costs=None,
-#: base_total=None)``: the closed form of :func:`render_charge` over a
-#: loop, and ``_redrawing`` when a noise redraw falls inside the block.
+#: base_total=None)``: the stream split at each noise redraw inside it
+#: into runs of ``_until_redraw - 1`` instructions, each charged in closed
+#: form and followed by the redraw, then the rest in closed form.
 _CHARGE_BLOCK = (["n = len(cost_classes)",
                   "if base_costs is None:",
                   "    base_costs = [_costs[c] for c in cost_classes]",
                   "if base_total is None:",
                   "    base_total = sum(base_costs)",
-                  "if _cpu._until_redraw <= n:",
-                  "    return _redrawing(base_costs)"]
-                 + _closed_form("n", "base_total",
-                                ["for _cb in base_costs:",
-                                 "    " + _CARRY.format("_cb")]))
+                  "while _cpu._until_redraw <= n:",
+                  "    _k = _cpu._until_redraw - 1",
+                  "    _run = base_costs[:_k]",
+                  "    _tot = sum(_run)"]
+                 + ["    " + line
+                    for line in _looped("_k", "_tot", "_run") + _REDRAW]
+                 + ["    base_costs = base_costs[_k:]",
+                    "    base_total -= _tot",
+                    "    n -= _k"]
+                 + _looped("n", "base_total", "base_costs"))
 
 
 def _generated_paths(mem_lines: list[str], namespace: dict):
-    """The ``(mem_access, charge_block)`` closures over ``namespace``:
-    ``mem_access(vaddr)`` runs ``mem_lines``, ``charge_block`` runs
-    :data:`_CHARGE_BLOCK`.
+    """The ``(mem_access, charge, charge_block)`` closures over
+    ``namespace``: ``mem_access(vaddr)`` runs ``mem_lines``, ``charge``
+    :data:`_CHARGE` and ``charge_block`` :data:`_CHARGE_BLOCK`.
 
     The source is compiled once per distinct text, into a factory that
     takes the namespace as arguments, so every platform after the first
     gets its closures from a plain call.  The code carries this module's
     filename so host profiles attribute its time to the platform.
     """
+    indent = "\n        "
     source = "\n".join(
-        [f"def _factory({', '.join(sorted(namespace))}):",
-         "    def mem_access(vaddr):"]
-        + ["        " + line for line in mem_lines]
-        + ["    def charge_block(cost_classes, base_costs=None,"
-           " base_total=None):"]
-        + ["        " + line for line in _CHARGE_BLOCK]
-        + ["    return mem_access, charge_block"])
+        [f"def _factory({', '.join(sorted(namespace))}):"]
+        + [f"    def {signature}:{indent}{indent.join(body)}"
+           for signature, body in (
+               ("mem_access(vaddr)", mem_lines),
+               ("charge(cost_class)", _CHARGE),
+               ("charge_block(cost_classes, base_costs=None,"
+                " base_total=None)", _CHARGE_BLOCK))]
+        + ["    return mem_access, charge, charge_block"])
     factory = _FACTORIES.get(source)
     if factory is None:
         scope: dict = {}
@@ -309,73 +346,14 @@ class TimedCorePlatform(Platform):
         source's accumulator slot, with or without a ledger attached;
         ``flush_charges`` splits the bus stalls out of the cache slot.
         The memory access is built from the ``render_mem`` template that
-        compiled trace blocks inline, and ``charge_block``'s no-redraw
-        case from the closed form ``render_charge`` inlines, so neither
-        pair can diverge.
+        compiled trace blocks inline, and ``charge`` and ``charge_block``
+        from the closed form ``render_charge`` inlines, so no two of them
+        can diverge.  They update the CPU's own counters, redraw points
+        and carry, so ``CpuModel.instruction_cost`` callers interleave
+        transparently.
         """
         acc = self._acc
-
-        # The per-instruction cost computation is inlined from
-        # CpuModel.instruction_cost: at one call per guest instruction,
-        # the method-call overhead alone is a measurable share of the
-        # simulation.  The state updates are identical (shared counters,
-        # same redraw points, same Bresenham fractional carry) so
-        # instruction_cost() callers interleave transparently.
         cpu = self.cpu
-        cost_list = cpu._cost_list
-        speculation_period = cpu.config.speculation_period
-        recompute_noise = cpu._recompute_noise
-
-        def charge(cost_class: CostClass) -> None:
-            cpu._instructions += 1
-            left = cpu._until_redraw - 1
-            if left:
-                cpu._until_redraw = left
-            else:
-                cpu._until_redraw = speculation_period
-                recompute_noise()
-            combined = cpu._combined
-            frac = cpu._frac
-            base = cost_list[cost_class]
-            if combined == 1.0 and frac == 0.0:
-                acc[_ACC_INSTR] += base
-                return
-            exact = base * combined + frac
-            cost = int(exact)
-            cpu._frac = exact - cost
-            acc[_ACC_INSTR] += cost
-
-        # ``charge_block`` with a noise redraw inside the block (its
-        # no-redraw case is the closed form of ``_CHARGE_BLOCK``) replays
-        # the per-instruction computation exactly — same counter
-        # updates, same redraw points, same Bresenham carry — so cycle
-        # totals are bit-identical to n individual charge() calls.
-        def charge_redrawing(base_costs) -> None:
-            # _recompute_noise only touches the factor fields, so the
-            # countdown and fractional carry live in locals and are
-            # written back once.
-            total = 0
-            until = cpu._until_redraw
-            combined = cpu._combined
-            frac = cpu._frac
-            for base in base_costs:
-                until -= 1
-                if until == 0:
-                    until = speculation_period
-                    recompute_noise()
-                    combined = cpu._combined
-                if combined == 1.0 and frac == 0.0:
-                    total += base
-                    continue
-                exact = base * combined + frac
-                cost = int(exact)
-                frac = exact - cost
-                total += cost
-            cpu._instructions += len(base_costs)
-            cpu._until_redraw = until
-            cpu._frac = frac
-            acc[_ACC_INSTR] += total
-
         record_branch = self.predictor.record
 
         def branch(branch_site: int, taken: bool) -> None:
@@ -464,9 +442,8 @@ class TimedCorePlatform(Platform):
         mem_lines = render_mem("vaddr")
         self._mem_inline = MemInline(render_mem, hit, render_charge, line_key,
                                      inline_ns, (*mem_lines, *hit))
-        mem_access, charge_block = _generated_paths(
-            mem_lines, {**inline_ns, "_costs": cost_list,
-                        "_redrawing": charge_redrawing})
+        mem_access, charge, charge_block = _generated_paths(
+            mem_lines, {**inline_ns, "_costs": cpu._cost_list})
         self.charge = charge
         self.charge_block = charge_block
         self.mem_access = mem_access

@@ -31,8 +31,10 @@ traces, verdicts — to a :class:`~repro.obs.runstore.RunStore`; the
 gate on those artifacts.
 
 Exit codes are part of the contract: every experiment returns a status,
-and the process exit is the *highest* status any selected experiment
-returned — so CI and scripts can gate directly on the verdict:
+and the process exits with the strongest status any selected experiment
+returned, ranked flagged > usage > SLO breach > degraded > clean (see
+:func:`overall_status`) — so CI and scripts can gate directly on the
+verdict:
 
 ====  =========================================================
 code  meaning
@@ -89,8 +91,8 @@ exit codes:
                unaudited, or the fleet entered degraded mode)
   4  SLO breach  nothing flagged, but an --slo objective missed its
                latency or coverage target (flags take precedence)
-with several experiments selected, the process exits with the highest
-status any of them returned."""
+with several experiments selected, the process exits with the strongest
+status any of them returned: 1 > 2 > 4 > 3 > 0."""
 
 
 def positive_int(text: str) -> int:
@@ -103,6 +105,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+#: Exit statuses from weakest to strongest.  A flag outranks everything:
+#: it is a verdict no other experiment's status can take back.  A usage
+#: error outranks the statuses that say nothing was flagged, because the
+#: experiment it stopped never ran.
+_PRECEDENCE = (EXIT_CLEAN, EXIT_DEGRADED, EXIT_SLO_BREACH, EXIT_USAGE,
+               EXIT_FLAGGED)
+
+
+def overall_status(*statuses: int) -> int:
+    """The status to exit with when several were reached: the strongest
+    under the contract's precedence 1 > 2 > 4 > 3 > 0 (0 for none)."""
+    return max(statuses, key=_PRECEDENCE.index, default=EXIT_CLEAN)
+
+
 def non_negative_int(text: str) -> int:
     """argparse type for a count that may be 0, such as the fault
     severities of 'chaos' (0 runs only the transfer sweep)."""
@@ -111,6 +127,16 @@ def non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {value}")
     return value
+
+
+def output_path(text: str) -> str:
+    """argparse type for a file to write: its directory must exist, so a
+    mistyped path exits 2 before the experiment runs, not after."""
+    parent = Path(text).parent
+    if not parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"directory {str(parent)!r} does not exist")
+    return text
 
 
 def _store(args):
@@ -818,13 +844,13 @@ def run_exec(args) -> int:
             print(f"    only {exited}/{total} processes exited -> "
                   f"degraded")
             unaudited += 1
-            status = max(status, EXIT_DEGRADED)
+            status = overall_status(status, EXIT_DEGRADED)
         if consistent:
             print("    verdict: consistent (no timing deviation)")
         else:
             print("    verdict: FLAGGED — timing deviation beyond "
                   "tolerance")
-            status = max(status, EXIT_FLAGGED)
+            status = overall_status(status, EXIT_FLAGGED)
         verdicts[label] = {"consistent": consistent,
                            "deviation_ms": deviation,
                            "payloads_match": audit.payloads_match}
@@ -862,7 +888,7 @@ def run_exec(args) -> int:
         figures["fleet"] = {"tasks": len(tasks), "jobs": args.jobs,
                             "identical": identical}
         if not identical:
-            status = max(status, EXIT_FLAGGED)
+            status = overall_status(status, EXIT_FLAGGED)
 
     if slo_spec is not None:
         print("  slo:")
@@ -882,9 +908,10 @@ def run_exec(args) -> int:
             print(f"    {key:<16s} {value:>10.2f} <= {target:<10g} "
                   f"{'ok' if ok else 'BREACH'}")
         figures["slo"] = {"breached": breached}
-        if breached and status in (EXIT_CLEAN, EXIT_DEGRADED):
-            print(f"  SLO breach ({', '.join(breached)}) -> exit 4")
-            status = EXIT_SLO_BREACH
+        if breached:
+            status = overall_status(status, EXIT_SLO_BREACH)
+            if status == EXIT_SLO_BREACH:
+                print(f"  SLO breach ({', '.join(breached)}) -> exit 4")
 
     store = _store(args)
     if store is not None:
@@ -992,12 +1019,14 @@ def cmd_report(argv: list[str]) -> int:
                     "(and re-print their run-time numbers).")
     parser.add_argument("refs", nargs="*",
                         help="run ids or unique prefixes")
-    parser.add_argument("--latest", type=int, default=0, metavar="N",
+    parser.add_argument("--latest", type=non_negative_int, default=0,
+                        metavar="N",
                         help="also render the N most recent runs")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="run store root (default: REPRO_RUNSTORE "
                              "or .repro-runs)")
-    parser.add_argument("--out", default="tdr-report.html",
+    parser.add_argument("--out", type=output_path,
+                        default="tdr-report.html",
                         help="HTML output path (default tdr-report.html)")
     parser.add_argument("--title", default="TDR experiment report")
     args = parser.parse_args(argv)
@@ -1129,7 +1158,7 @@ def cmd_slo(argv: list[str]) -> int:
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="run store root (default: REPRO_RUNSTORE "
                              "or .repro-runs)")
-    parser.add_argument("--windows", type=int, default=4,
+    parser.add_argument("--windows", type=positive_int, default=4,
                         help="burn-rate windows over the virtual "
                              "horizon (default 4)")
     args = parser.parse_args(argv)
@@ -1200,11 +1229,13 @@ def cmd_profile(argv: list[str]) -> int:
     parser.add_argument("--diff", action="store_true",
                         help="diff play vs replay and name the first "
                              "divergent (function, pc, source) frame")
-    parser.add_argument("--flame", default=None, metavar="OUT.svg",
+    parser.add_argument("--flame", type=output_path, default=None,
+                        metavar="OUT.svg",
                         help="write a standalone SVG flame graph (the "
                              "side-by-side differential view with "
                              "--diff)")
-    parser.add_argument("--folded", default=None, metavar="OUT.txt",
+    parser.add_argument("--folded", type=output_path, default=None,
+                        metavar="OUT.txt",
                         help="write flamegraph.pl-compatible folded "
                              "stacks (play side)")
     parser.add_argument("--store", nargs="?", const="", default=None,
@@ -1354,7 +1385,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--severities", type=non_negative_int, default=3,
                         help="fault severities swept by 'chaos' "
                              "(default 3)")
-    parser.add_argument("--trace-out", default=None, metavar="FILE",
+    parser.add_argument("--trace-out", type=output_path, default=None,
+                        metavar="FILE",
                         help="Chrome trace file written by 'trace' "
                              "(default tdr-trace.json) and, when given "
                              "explicitly, the merged fleet trace of "
@@ -1422,7 +1454,7 @@ def main(argv: list[str] | None = None) -> int:
         started = time.time()
         result = EXPERIMENTS[name](args)
         print(f"  [{name}: {time.time() - started:.1f}s]")
-        status = max(status, int(result or 0))
+        status = overall_status(status, int(result or 0))
     return status
 
 

@@ -26,11 +26,12 @@ Time determinism is the design constraint, not an afterthought:
   Anything else falls back to the reference interpreter for that entry.
 
 * **Exact charge replay.**  With no noise redraw inside the block, the
-  inline charge and ``charge_block`` step only the fractional carry per
-  instruction and scale the pre-summed total once; otherwise
-  ``charge_block`` replays the per-instruction cost computation — same
-  redraw points, same Bresenham carry.  Cycles are bit-identical either
-  way (DESIGN §4.3).
+  inline charge steps only the fractional carry per instruction and
+  scales the pre-summed total once; otherwise ``charge_block`` splits
+  the stream at each redraw into runs charged the same way, with the
+  redraws at the same points of the same stream.  Both are rendered
+  from one closed-form template, so cycles are bit-identical either way
+  (DESIGN §4.3).
 
 * **Exact repeat hits.**  After any access its page and line are the
   most recently used entries of the TLB and of their L1 set, with no

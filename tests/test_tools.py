@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.tools.reproduce import EXPERIMENTS, main
+from repro.tools.reproduce import EXPERIMENTS, main, overall_status
 
 
 class TestReproduceCli:
@@ -34,6 +34,8 @@ class TestReproduceCli:
         ["fleet-audit", "--nodes", "0"],
         ["fleet", "--jobs", "0"],
         ["profile", "--requests", "0"],
+        ["slo", "p99_verdict_ms=400", "--windows", "0"],
+        ["slo", "p99_verdict_ms=400", "--windows", "-2"],
     ])
     def test_invalid_count_exits_usage(self, capsys, argv):
         # Exit 1 is reserved for "flagged": a bad count is a usage error,
@@ -54,6 +56,29 @@ class TestReproduceCli:
         err = capsys.readouterr().err
         assert "must be a non-negative integer" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["report", "--latest", "-1"], "must be a non-negative integer"),
+        (["trace", "--trace-out", "{missing}/t.json"], "does not exist"),
+        (["fleet-audit", "--trace-out", "{missing}/t.json"],
+         "does not exist"),
+        (["report", "--latest", "1", "--out", "{missing}/r.html"],
+         "does not exist"),
+        (["profile", "--flame", "{missing}/f.svg"], "does not exist"),
+        (["profile", "--folded", "{missing}/dir/f.txt"], "does not exist"),
+    ])
+    def test_invalid_argument_exits_usage(self, capsys, tmp_path, argv,
+                                          message):
+        # A bad value is rejected before anything runs: no experiment
+        # output, one error line, no traceback.
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(missing=missing) for arg in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_runs_small_experiment(self, capsys):
         assert main(["sec65", "--requests", "8"]) == 0
@@ -149,6 +174,37 @@ class TestExitCodeContract:
         out = capsys.readouterr().out
         assert "log tampered in transit" in out
         assert "classification: tamper-detected" in out
+
+    def test_flag_outranks_a_degraded_fleet(self, capsys):
+        # The fleet half crashes both nodes and returns 3; the tampered
+        # audit's flag must still decide the exit.
+        assert main(["audit", "fleet-audit", "--tamper", "--nodes", "2",
+                     "--tenants", "1", "--epochs", "2", "--requests", "4",
+                     "--chaos", "crash:0@100,crash:1@120"]) == 1
+        out = capsys.readouterr().out
+        assert "verdict: FLAGGED" in out
+        assert "degraded coverage (no flag) -> exit 3" in out
+
+    def test_flag_outranks_an_slo_breach(self, capsys):
+        assert main(["audit", "fleet-audit", "--tamper", "--tenants", "1",
+                     "--nodes", "2", "--epochs", "1", "--requests", "4",
+                     "--slo", "p99_verdict_ms=0.001"]) == 1
+        out = capsys.readouterr().out
+        assert "verdict: FLAGGED" in out
+        assert "SLO breach (p99_verdict_ms) -> exit 4" in out
+
+    def test_overall_status_ranks_every_pair(self):
+        def expected(a, b):
+            for code in (1, 2, 4, 3):
+                if code in (a, b):
+                    return code
+            return 0
+
+        codes = (0, 1, 2, 3, 4)
+        for a in codes:
+            for b in codes:
+                assert overall_status(a, b) == expected(a, b), (a, b)
+        assert overall_status() == 0
 
     def test_chaos_severity_zero_exits_zero(self, capsys):
         assert main(["chaos", "--requests", "4", "--severities", "0",

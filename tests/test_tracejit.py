@@ -12,6 +12,7 @@ available behind ``REPRO_NO_JIT=1`` as the differential reference
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -24,12 +25,13 @@ from repro.core.resilience import audit_resilient
 from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
 from repro.faults import standard_fault_kinds
-from repro.hw.cpu import CostClass
+from repro.hw.cpu import CostClass, CpuModel
 from repro.machine import MachineConfig, NoiseScenario, scenario_config
 from repro.machine.config import RuntimeKind
 from repro.machine.machine import Machine
 from repro.machine.platform import _ACC_INSTR, TimedCorePlatform
 from repro.obs import Observability
+from repro.vm.interpreter import VmConfig
 from repro.vm.tracejit import (_MIN_BLOCK, _build_region, compile_region,
                                jit_enabled)
 
@@ -456,48 +458,62 @@ CARRIES = st.one_of(st.sampled_from((0.0, 2.0 ** -52, 1.0 - 2.0 ** -52)),
                     st.floats(0.0, 1.0, exclude_max=True))
 
 
+#: The longest stream a compiled block inlines its charge for.
+MAX_BLOCK = VmConfig().jit_max_block
+
+
 @settings(max_examples=300, deadline=None)
 @given(runtime=st.sampled_from((RuntimeKind.SANITY, RuntimeKind.ORACLE_JIT)),
-       classes=st.lists(st.sampled_from(list(CostClass)), min_size=1,
-                        max_size=64),
+       stream=st.lists(st.sampled_from(list(CostClass)), min_size=192,
+                       max_size=192),
+       length=st.integers(1, 192),
        sigma=st.sampled_from((0.0, 0.004)), turbo=st.booleans(),
        freq_scaling=st.booleans(), carry=CARRIES,
        until=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
-def test_closed_form_charge_matches_instruction_cost(runtime, classes, sigma,
-                                                     turbo, freq_scaling,
-                                                     carry, until, seed):
-    """The block charge a compiled block inlines (``render_charge``) and
-    ``charge_block`` leave a CPU exactly where ``len(bases)`` calls of
-    ``CpuModel.instruction_cost`` do: the same instruction cycles, carry
-    bits, redraw countdown, instruction count and next noise draw,
-    whether or not a redraw falls inside the block."""
+def test_closed_form_charge_matches_instruction_cost(runtime, stream, length,
+                                                     sigma, turbo,
+                                                     freq_scaling, carry,
+                                                     until, seed):
+    """Every batched charge leaves a CPU exactly where ``len(bases)``
+    calls of ``CpuModel.instruction_cost`` do: the same instruction
+    cycles, carry bits, redraw countdown, instruction count and next
+    noise draw.  That is ``charge_block`` over a stream crossing up to
+    three noise redraws, one batched ``charge`` per instruction, and,
+    for a stream a block can hold, the block charge a compiled block
+    inlines (``render_charge``)."""
     config = MachineConfig(runtime=runtime, speculation_sigma=sigma,
                            turbo=turbo, freq_scaling=freq_scaling)
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv("REPRO_NO_BATCH", raising=False)
         machines = [Machine(config, seed=seed, mode="play")
-                    for _ in range(3)]
+                    for _ in range(4)]
     for machine in machines:
         machine.cpu._frac = carry
         machine.cpu._until_redraw = until
-    reference, rendered, blocked = machines
-    classes = tuple(classes)
+    reference, rendered, blocked, charged = machines
+    classes = tuple(stream[:length])
     bases = tuple(reference.cpu._cost_list[c] for c in classes)
-    start = [m.platform._acc[_ACC_INSTR] for m in machines]
+    start = {m: m.platform._acc[_ACC_INSTR] for m in machines}
     expected = sum(reference.cpu.instruction_cost(c) for c in classes)
 
-    inline = rendered.platform.mem_inline()
-    namespace = dict(inline.namespace, _CLS=classes, _BAS=bases,
-                     _TOT=sum(bases),
-                     _charge_block=rendered.platform.charge_block)
-    exec("\n".join(inline.charge(bases, "_charge_block(_CLS, _BAS, _TOT)")),
-         namespace)
     blocked.platform.charge_block(classes, bases, sum(bases))
+    for cost_class in classes:
+        charged.platform.charge(cost_class)
+    checked = [blocked, charged]
+    if length <= MAX_BLOCK:
+        inline = rendered.platform.mem_inline()
+        namespace = dict(inline.namespace, _CLS=classes, _BAS=bases,
+                         _TOT=sum(bases),
+                         _charge_block=rendered.platform.charge_block)
+        exec("\n".join(inline.charge(bases,
+                                     "_charge_block(_CLS, _BAS, _TOT)")),
+             namespace)
+        checked.append(rendered)
 
     next_draw = reference.cpu._rng.next_u64()
-    for machine, before in zip((rendered, blocked), start[1:]):
+    for machine in checked:
         cpu = machine.cpu
-        assert machine.platform._acc[_ACC_INSTR] - before == expected
+        assert machine.platform._acc[_ACC_INSTR] - start[machine] == expected
         assert cpu._frac.hex() == reference.cpu._frac.hex()
         assert cpu._until_redraw == reference.cpu._until_redraw
         assert cpu._instructions == reference.cpu._instructions
@@ -605,7 +621,8 @@ def test_elision_boundaries_match_reference(nfs_program, monkeypatch,
 
 
 class TestWorkCounts:
-    """Deterministic work-count gates on the 5-request NFS round trip."""
+    """Deterministic work-count gates on the 5-request NFS round trip
+    and on the batched charges."""
 
     @pytest.fixture(autouse=True)
     def _batched(self, monkeypatch):
@@ -635,6 +652,38 @@ class TestWorkCounts:
         entries = trip.play.jit["entries"] + trip.replay.jit["entries"]
         assert entries > 0
         assert calls <= 0.4 * entries
+
+    @pytest.mark.parametrize("path", ("charge_block", "charge"))
+    def test_charges_call_only_the_noise_redraw(self, path):
+        """Over 1,000 instructions, ``charge_block`` (one stream, with
+        its base costs as a compiled block passes them) and ``charge``
+        (one call each) call one Python function:
+        ``CpuModel._recompute_noise``, once per noise redraw.  The carry
+        and the countdown are rendered inline."""
+        machine = Machine(MachineConfig(), seed=3, mode="play")
+        cpu, platform = machine.cpu, machine.platform
+        classes = tuple(CostClass(i % len(CostClass)) for i in range(1000))
+        bases = tuple(cpu._cost_list[c] for c in classes)
+        redraws = (1 + (len(classes) - cpu._until_redraw)
+                   // cpu.config.speculation_period)
+        caller = getattr(platform, path).__code__
+        called = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_back.f_code is caller:
+                called.append(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            if path == "charge_block":
+                platform.charge_block(classes, bases, sum(bases))
+            else:
+                for cost_class in classes:
+                    platform.charge(cost_class)
+        finally:
+            sys.setprofile(None)
+        assert cpu._instructions == len(classes)
+        assert called == [CpuModel._recompute_noise.__code__] * redraws
 
     def test_checksum_loop_renders_repeat_hits(self, nfs_program):
         """``process_chunk``'s self-loop at pc 18 touches one frame line
