@@ -126,7 +126,7 @@ def run_sanity_detector(jobs=None):
     seeds and schedules of the old serial implementation.
     """
     config = MachineConfig()
-    _compiled("nfs")  # warm the parent cache; forked workers share it
+    _compiled("nfs")  # warm the parent cache; workers forked later share it
 
     legit_tasks = [(seed, None) for seed in range(VM_LEGIT_TRACES)]
     legit_scores = run_fleet(legit_tasks, jobs=jobs, worker=_vm_deviation)

@@ -88,8 +88,9 @@ def _trace_worker_cached(seed):
 def _timed_slice(jobs, worker, no_batch=False):
     """Run the VM-trace slice under one knob setting, returning
     ``(seconds, scores)``.  ``no_batch`` flips the charging fast path off
-    for both the in-process serial path and forked fleet workers (the
-    environment is inherited at fork time)."""
+    for both the in-process serial path and the fleet workers: the
+    ``REPRO_*`` environment is part of the worker pool's key, so a
+    flipped switch gets freshly forked workers that mirror it."""
     if no_batch:
         os.environ["REPRO_NO_BATCH"] = "1"
     try:

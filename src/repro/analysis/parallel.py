@@ -14,17 +14,27 @@ Two pieces make that safe:
   with their closures, ledgers, and open sessions — never cross a process
   boundary.
 * :func:`run_fleet` — maps a top-level worker function over a task list
-  with a ``ProcessPoolExecutor`` (``fork`` start method where available)
+  on the process's worker pool (``fork`` start method where available)
   and returns results **in submission order**, so callers see exactly the
   list a serial loop would have produced.  ``jobs=None`` uses
   :func:`default_jobs`; ``jobs<=1`` (or a single task) degrades to the
   plain serial loop, which keeps single-core environments and debuggers
   happy.
 
+The pool lives as long as the process: it is forked on the first call
+that fans out and serves every later call with the same requested
+``jobs`` and the same ``REPRO_*`` environment.  A call with a different
+key shuts it down before forking its own, and a broken pool (a worker
+killed from outside) is dropped and that call runs serially.
+
 Determinism note: worker processes recompute everything from seeds, so
 ``run_fleet(specs, jobs=4)`` is bit-identical to ``jobs=1`` — there is a
 regression test asserting cycles, transmissions, ledger totals, and AUCs
-match between the two.
+match between the two.  Reusing a worker for many tasks is exact for the
+same reason: the serial path already runs every task in one long-lived
+process.  What a task needs must travel in the task or in ``REPRO_*``; a
+module attribute patched in the parent after the pool was forked does
+not reach its workers.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -186,12 +197,43 @@ def _apply_repro_env(env: dict) -> None:
     a worker disagreeing with its parent would silently compare a fast
     path against itself.  fork inherits the environment anyway; this
     makes the contract explicit and start-method independent, and drops
-    switches the parent has since cleared.
+    switches the parent has since cleared.  The snapshot is part of the
+    pool's key, so a switch flipped in the parent forks fresh workers.
     """
     for key in [k for k in os.environ if k.startswith("REPRO_")]:
         if key not in env:
             del os.environ[key]
     os.environ.update(env)
+
+
+#: The process's worker pool and its key, ``(jobs, REPRO_* items)``;
+#: forked by the first call that fans out, replaced when the key changes.
+_pool: ProcessPoolExecutor | None = None
+_pool_key: tuple | None = None
+
+
+def _worker_pool(jobs: int, repro_env: dict) -> ProcessPoolExecutor:
+    """The pool for ``jobs`` workers under ``repro_env``, forked only if
+    the live one has another key (which is shut down first, so no fork
+    happens while its threads run)."""
+    global _pool, _pool_key
+    key = (jobs, tuple(sorted(repro_env.items())))
+    if _pool_key != key:
+        _drop_pool()
+        _pool = ProcessPoolExecutor(max_workers=jobs,
+                                    mp_context=_pool_context(),
+                                    initializer=_apply_repro_env,
+                                    initargs=(repro_env,))
+        _pool_key = key
+    return _pool
+
+
+def _drop_pool() -> None:
+    """Shut the process's pool down (if any) and forget it."""
+    global _pool, _pool_key
+    pool, _pool, _pool_key = _pool, None, None
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_fleet(tasks: Sequence, jobs: int | None = None,
@@ -201,30 +243,31 @@ def run_fleet(tasks: Sequence, jobs: int | None = None,
     ``worker`` must be a module-level callable and every task picklable
     (the default worker is :func:`execute_spec` over
     :class:`MachineSpec`).  With ``jobs`` absent, :func:`default_jobs`
-    decides; with ``jobs<=1``, a single task, or no usable process pool,
-    the loop runs serially in-process — same results either way, because
-    every task is rebuilt from seeds.
+    decides.  With ``jobs<=1`` or a single task the loop runs serially
+    in-process; otherwise the tasks go to the process's pool of ``jobs``
+    workers, kept from earlier calls with the same ``jobs`` and
+    ``REPRO_*`` environment.  Where no process can be started, or the
+    pool broke (a worker died), this call runs serially and a broken
+    pool is dropped.  Same results on every path, because every task is
+    rebuilt from seeds.
     """
     tasks = list(tasks)
     if jobs is None:
         jobs = default_jobs()
-    jobs = min(jobs, len(tasks)) if tasks else 1
-    if jobs <= 1:
+    if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
     repro_env = {key: value for key, value in os.environ.items()
                  if key.startswith("REPRO_")}
     try:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=_pool_context(),
-                                 initializer=_apply_repro_env,
-                                 initargs=(repro_env,)) as pool:
-            # Submission order in, submission order out: map() guarantees
-            # result order matches the input iterable regardless of
-            # completion order.
-            return list(pool.map(worker, tasks))
-    except (OSError, PermissionError):
-        # Sandboxes without process-spawn rights fall back to serial.
-        return [worker(task) for task in tasks]
+        # Submission order in, submission order out: map() guarantees
+        # result order matches the input iterable regardless of
+        # completion order.
+        return list(_worker_pool(jobs, repro_env).map(worker, tasks))
+    except (BrokenProcessPool, OSError):
+        # A worker died, or this sandbox cannot start processes: drop the
+        # pool (the next call forks a fresh one) and run this call here.
+        _drop_pool()
+    return [worker(task) for task in tasks]
 
 
 def run_fleet_observed(specs: Sequence[MachineSpec], jobs: int | None = None

@@ -64,9 +64,9 @@ class BranchPredictor:
         return 0
 
     def flush(self) -> None:
-        """Reset every counter (part of initialization, §3.6)."""
-        for i in range(len(self._counters)):
-            self._counters[i] = _WEAK_NOT_TAKEN
+        """Reset every counter (part of initialization, §3.6), in place:
+        code holding ``_counters`` keeps seeing the live table."""
+        self._counters[:] = [_WEAK_NOT_TAKEN] * len(self._counters)
 
     @property
     def miss_rate(self) -> float:

@@ -165,7 +165,7 @@ class Cache:
         dirty set is cleared too; the flush happens before the timed
         execution starts, so its own cost is outside the measurement.
         """
-        for ways in self._sets:
+        for ways in filter(None, self._sets):    # empty sets stay as is
             ways.clear()
         self._dirty.clear()
         self._pending_writeback = 0

@@ -24,7 +24,12 @@ PAGE_SIZE = 4096
 
 
 class FrameAllocator:
-    """Hands out physical frames to back guest virtual pages."""
+    """Hands out physical frames to back guest virtual pages.
+
+    Frames come from ``_order`` at a cursor: the ``range`` itself in the
+    deterministic mode (no per-frame list is built), or one list
+    shuffled once per execution in the pseudo-random mode.
+    """
 
     def __init__(self, num_frames: int, deterministic: bool,
                  noise_rng: SplitMix64 | ZeroNoise) -> None:
@@ -33,21 +38,24 @@ class FrameAllocator:
         self.num_frames = num_frames
         self.deterministic = deterministic
         self._rng = noise_rng
-        self._free = list(range(num_frames))
-        if not deterministic:
+        self._order: range | list[int] = range(num_frames)
+        self._cursor = 0
+        if not deterministic and isinstance(noise_rng, SplitMix64):
             # A fresh shuffle per execution models OS allocator randomness.
-            if isinstance(noise_rng, SplitMix64):
-                noise_rng.shuffle(self._free)
+            self._order = list(self._order)
+            noise_rng.shuffle(self._order)
 
     def allocate(self) -> int:
         """Return the next physical frame number."""
-        if not self._free:
+        cursor = self._cursor
+        if cursor == self.num_frames:
             raise HardwareConfigError("out of physical frames")
-        return self._free.pop(0)
+        self._cursor = cursor + 1
+        return self._order[cursor]
 
     @property
     def frames_remaining(self) -> int:
-        return len(self._free)
+        return self.num_frames - self._cursor
 
 
 class AddressSpace:

@@ -746,15 +746,16 @@ def run_fleet_audit(args) -> int:
                   f"chaos={report.chaos_spec or 'none'}")
         print(f"  [stored {run_id} in {store.root}]")
     _print_phase_report(registry)
-    if report.exit_code == EXIT_FLAGGED:
+    breached = slo_report is not None and not slo_report.ok
+    status = overall_status(report.exit_code,
+                            EXIT_SLO_BREACH if breached else EXIT_CLEAN)
+    if status == EXIT_FLAGGED:
         print("  flagged tenants -> non-zero exit")
-        return EXIT_FLAGGED
-    if slo_report is not None and not slo_report.ok:
+    elif status == EXIT_SLO_BREACH:
         print(f"  SLO breach ({', '.join(slo_report.breached)}) -> exit 4")
-        return EXIT_SLO_BREACH
-    if report.exit_code == EXIT_DEGRADED:
+    elif status == EXIT_DEGRADED:
         print("  degraded coverage (no flag) -> exit 3")
-    return report.exit_code
+    return status
 
 
 def _percentile(samples: list[float], q: float) -> float:

@@ -138,6 +138,29 @@ class TestMemoryAndTlb:
         with pytest.raises(HardwareConfigError):
             a.allocate()
 
+    @settings(max_examples=80, deadline=None)
+    @given(num_frames=st.integers(1, 600), deterministic=st.booleans(),
+           seed=st.integers(0, 2**64 - 1), zero_noise=st.booleans())
+    def test_cursor_allocator_matches_pop_front_reference(
+            self, num_frames, deterministic, seed, zero_noise):
+        """The cursor allocator hands out the frames, and draws the
+        noise, of a list built up front and allocated with ``pop(0)``."""
+        def rng():
+            return ZeroNoise() if zero_noise else SplitMix64(seed)
+
+        alloc_rng, reference_rng = rng(), rng()
+        alloc = FrameAllocator(num_frames, deterministic, alloc_rng)
+        reference = list(range(num_frames))
+        if not deterministic:
+            reference_rng.shuffle(reference)
+        assert alloc_rng.next_u64() == reference_rng.next_u64()
+        while reference:
+            assert alloc.frames_remaining == len(reference)
+            assert alloc.allocate() == reference.pop(0)
+        assert alloc.frames_remaining == 0
+        with pytest.raises(HardwareConfigError):
+            alloc.allocate()
+
     def test_translation_is_stable(self):
         alloc = FrameAllocator(32, deterministic=True, noise_rng=ZeroNoise())
         space = AddressSpace(alloc)

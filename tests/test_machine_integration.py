@@ -1,6 +1,8 @@
 """Integration tests: guest programs on the full simulated machine,
 play/replay round trips, and the determinism invariants of TDR."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.audit import compare_traces
@@ -124,6 +126,20 @@ class TestPlayBasics:
         assert result.console == [sum(i * i for i in range(3000))]
         assert result.total_cycles > 0
         assert result.stats["l1_hits"] > 0
+
+
+def test_machine_construction_retains_under_128_kib():
+    """A machine's set-up keeps no per-frame or per-entry tables it does
+    not need: 8,192 frame numbers alone would retain about 310 KiB."""
+    Machine(MachineConfig())        # warm-up: imports, rendered paths
+    tracemalloc.start()
+    try:
+        machine = Machine(MachineConfig())
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert machine.address_space.mapped_pages == 0
+    assert retained < 128 * 1024, f"{retained / 1024:.0f} KiB retained"
 
 
 class TestTdrReplay:

@@ -9,6 +9,10 @@ plus a statistical detector matrix).
 
 from __future__ import annotations
 
+import os
+import signal
+from contextlib import contextmanager
+
 from repro.analysis.experiment import NfsTrafficModel, run_detector_matrix
 from repro.analysis.parallel import (MachineSpec, ObservedExecution,
                                      _compiled, _workload, default_jobs,
@@ -40,6 +44,35 @@ def _ledger_worker(spec):
                   obs=Observability())
     return (result.total_cycles, result.instructions, result.tx,
             result.ledger)
+
+
+def _probe(spec):
+    """Top-level worker: run ``spec`` and report which process served it
+    and the ``REPRO_NO_BATCH`` value that process saw."""
+    result = execute_spec(spec)
+    return (os.getpid(), os.environ.get("REPRO_NO_BATCH"),
+            (result.total_cycles, result.instructions, result.tx))
+
+
+def _probe_specs(n=4):
+    return [MachineSpec(program="zero-array:256", config=MachineConfig(),
+                        seed=seed) for seed in range(n)]
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the block with TimeoutError if it runs longer than
+    ``seconds`` (a hang must not stall the suite)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_fleet_bit_identical_to_serial():
@@ -144,3 +177,56 @@ def test_default_jobs_env_override(monkeypatch):
     assert default_jobs() >= 1
     monkeypatch.setenv("REPRO_JOBS", "0")
     assert default_jobs() == 1
+
+
+def test_pooled_calls_reuse_the_same_workers():
+    """One pool per process: three pooled calls with the same ``jobs``
+    are served by the same two worker processes, not one fork each."""
+    specs = _probe_specs()
+    serial = [facts for _, _, facts in run_fleet(specs, jobs=1,
+                                                 worker=_probe)]
+    pids = set()
+    for _ in range(3):
+        with _deadline(120):
+            out = run_fleet(specs, jobs=2, worker=_probe)
+        assert [facts for _, _, facts in out] == serial
+        pids |= {pid for pid, _, _ in out}
+    assert os.getpid() not in pids
+    assert len(pids) == 2
+
+
+def test_repro_switch_flipped_between_calls_reaches_workers(monkeypatch):
+    """``REPRO_*`` is part of the pool's key: a switch flipped in the
+    parent between two pooled calls is what the next call's workers
+    see, and the results still equal the serial loop's."""
+    specs = _probe_specs()
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    with _deadline(120):
+        batched = run_fleet(specs, jobs=2, worker=_probe)
+        monkeypatch.setenv("REPRO_NO_BATCH", "1")
+        unbatched = run_fleet(specs, jobs=2, worker=_probe)
+    serial = run_fleet(specs, jobs=1, worker=_probe)
+    assert {seen for _, seen, _ in batched} == {None}
+    assert {seen for _, seen, _ in unbatched} == {"1"}
+    assert os.getpid() not in {pid for pid, _, _ in batched + unbatched}
+    facts = [facts for _, _, facts in serial]
+    assert [f for _, _, f in batched] == [f for _, _, f in unbatched] \
+        == facts
+
+
+def test_killed_worker_falls_back_to_serial_then_reforks():
+    """A worker killed between two calls breaks the pool; the next call
+    still returns the serial results (the broken pool is dropped and
+    that call runs in-process), and a fresh pool serves later calls."""
+    specs = _probe_specs()
+    serial = [facts for _, _, facts in run_fleet(specs, jobs=1,
+                                                 worker=_probe)]
+    victim = run_fleet(specs, jobs=2, worker=_probe)[0][0]
+    assert victim != os.getpid()
+    os.kill(victim, signal.SIGKILL)
+    with _deadline(120):
+        after_kill = run_fleet(specs, jobs=2, worker=_probe)
+        later = run_fleet(specs, jobs=2, worker=_probe)
+    assert [facts for _, _, facts in after_kill] == serial
+    assert [facts for _, _, facts in later] == serial
+    assert {pid for pid, _, _ in later}.isdisjoint({victim, os.getpid()})
