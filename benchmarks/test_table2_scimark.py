@@ -103,11 +103,13 @@ def _best_of(fn, trials=TRIALS):
 def run_tierup(scimark_programs):
     """Wall-clock host seconds per kernel, tier-up on vs ``REPRO_NO_JIT``.
 
-    Measured on the noise-free Sanity variant (``speculation_sigma=0``),
-    where the pre-summed block charge takes its provably-exact O(1) fast
-    path; bit-identity under the *default noisy* configs is pinned by
-    ``tests/test_tracejit.py``, and the guest-visible numbers are
-    asserted equal here as well.
+    Measured on the noise-free Sanity variant (``speculation_sigma=0``,
+    no frequency scaling or turbo), whose noise factor is always 1.0:
+    both sides' charges, the interpreter's per-instruction ``charge``
+    and the blocks' inline charge, skip the float carry steps while the
+    carry is zero (DESIGN §4.3).  Bit-identity under the *default noisy*
+    configs is pinned by ``tests/test_tracejit.py``, and the
+    guest-visible numbers are asserted equal here as well.
     """
     config = scenario_config("sanity").with_overrides(
         name="sanity-deterministic", speculation_sigma=0.0)

@@ -69,7 +69,14 @@ class CacheConfig:
 
 
 class Cache:
-    """One set-associative cache level over physical addresses."""
+    """One set-associative cache level over physical addresses.
+
+    Every set's dict in ``_sets`` is made in ``__init__`` and only ever
+    mutated in place (``fill``, ``flush``, ``pollute``, ``randomize``):
+    sets must never be rebound or made lazily, because compiled trace
+    blocks keep a set's dict in a local across the accesses of one call
+    (DESIGN §4.3).
+    """
 
     #: Ledger bucket for cycles this component charges.
     LEDGER_SOURCE = Source.CACHE

@@ -36,22 +36,26 @@ the *number* of ledger charge events changes (one per flush instead of
 one per instruction).  Set ``REPRO_NO_BATCH=1`` to fall back to the
 immediate-advance path for differential testing.
 
-The batched memory access has one source: the ``render_mem`` template,
-which renders the TLB hit, the page-table lookup and the L1 hit as
-Python lines and hands the miss sides to the components.  Compiled
-trace blocks inline those lines per access, and ``mem_access`` /
-``fetch_access`` are a closure running the same lines.  The template's
-L1 hit is an LRU move, so a machine whose L1 is not LRU runs the
-unbatched reference.  Compiled blocks get two more templates
-(DESIGN §4.3): the repeat hit, for an access to the line the previous
-access touched, and ``render_charge``, the closed-form charge of a run
-of instructions with no noise redraw inside it.  The batched
-``charge_block`` splits its stream into such runs at each redraw, and
-the batched ``charge`` is a run of one instruction.
+The batched memory access has one source, the templates of
+:func:`_mem_templates`: a translation half (the page-table lookup down
+to the L1 set and tag) and an update half (the TLB and L1 LRU moves),
+rendered as Python lines that hand the miss sides to the components.
+``mem_access`` / ``fetch_access`` are a closure running both halves
+with the hit counters inline.  Compiled trace blocks inline the same
+halves per access (DESIGN §4.3): a line a call meets again is
+translated once per call and later makes only the LRU moves, and the
+hit counters are summed at the block's exits.  The L1 hit is an LRU
+move, so a machine whose L1 is not LRU runs the unbatched reference.
+``render_charge`` is the closed-form charge of a run of instructions
+with no noise redraw inside it; the batched ``charge_block`` splits its
+stream into such runs at each redraw, and the batched ``charge`` is a
+run of one instruction.  On a CPU whose noise factor is always 1.0 the
+charges skip the float steps while the carry is zero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import TYPE_CHECKING
@@ -101,7 +105,20 @@ def batching_enabled() -> bool:
     return os.environ.get("REPRO_NO_BATCH", "") != "1"
 
 
-def _closed_form(n, total, steps: list[str] | None = None) -> list[str]:
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _counts(n, cycles) -> list[str]:
+    """The counters a run of ``n`` instructions charging ``cycles``
+    advances: the redraw countdown, the CPU's instruction count and the
+    instruction slot."""
+    return [f"_cpu._until_redraw -= {n}", f"_cpu._instructions += {n}",
+            f"_acc[{_ACC_INSTR}] += {cycles}"]
+
+
+def _closed_form(n, total, steps: list[str] | None = None,
+                 exact: bool = False) -> list[str]:
     """Lines charging a run of ``n`` instructions of base-cost sum
     ``total`` when no noise redraw falls inside it (DESIGN §4.3).
 
@@ -110,6 +127,9 @@ def _closed_form(n, total, steps: list[str] | None = None) -> list[str]:
     ``steps`` the run is one instruction (``n`` is 1) of base cost
     ``total``: it keeps ``x = total * c + f``, whose ``x % 1.0`` is the
     carry and whose ``int(x)`` is that sum with fewer operations.
+    ``exact`` is for a CPU whose noise factor is always 1.0: a run from a
+    zero carry then costs ``total`` and leaves the carry at zero, so the
+    float steps run only under a nonzero carry.
     """
     if steps is None:
         carry = [f"_cx = {total} * _cpu._combined + _cpu._frac",
@@ -119,9 +139,11 @@ def _closed_form(n, total, steps: list[str] | None = None) -> list[str]:
         carry = (["_cc = _cpu._combined", "_cf = _cf0 = _cpu._frac"]
                  + steps + ["_cpu._frac = _cf"])
         cycles = f"round(_cc * {total} + _cf0 - _cf)"
-    return carry + [f"_cpu._until_redraw -= {n}",
-                    f"_cpu._instructions += {n}",
-                    f"_acc[{_ACC_INSTR}] += {cycles}"]
+    lines = carry + _counts(n, cycles)
+    if not exact:
+        return lines
+    return (["if _cpu._frac == 0.0:"] + _indent(_counts(n, total))
+            + ["else:"] + _indent(lines))
 
 
 def _looped(n, total, costs: str) -> list[str]:
@@ -130,22 +152,24 @@ def _looped(n, total, costs: str) -> list[str]:
                                    "    " + _CARRY.format("_cb")])
 
 
-def render_charge(bases, fallback: str) -> list[str]:
+def render_charge(bases, fallback: str, exact: bool = False) -> list[str]:
     """Lines charging an instruction stream of base costs ``bases``: in
     closed form when no noise redraw falls inside it, else by running
-    the source line ``fallback``."""
+    the source line ``fallback`` (``exact``: see :func:`_closed_form`)."""
     n = len(bases)
     return ([f"if _cpu._until_redraw > {n}:"]
-            + ["    " + line for line in _closed_form(
-                n, sum(bases), [_CARRY.format(b) for b in bases])]
+            + _indent(_closed_form(n, sum(bases),
+                                   [_CARRY.format(b) for b in bases], exact))
             + ["else:", "    " + fallback])
 
 
-#: The batched ``charge(cost_class)``: a one-instruction run, after the
-#: redraw when the countdown is at 1.
-_CHARGE = (["if _cpu._until_redraw == 1:"]
-           + ["    " + line for line in _REDRAW]
-           + _closed_form(1, "_costs[cost_class]"))
+#: The batched ``charge(cost_class)``, by whether the CPU is exact (see
+#: :func:`_closed_form`): a one-instruction run, after the redraw when
+#: the countdown is at 1.
+_CHARGES = {exact: (["if _cpu._until_redraw == 1:"] + _indent(_REDRAW)
+                    + _closed_form(1, "_costs[cost_class]", exact=exact))
+            for exact in (False, True)}
+
 
 #: The batched ``charge_block(cost_classes, base_costs=None,
 #: base_total=None)``: the stream split at each noise redraw inside it
@@ -168,10 +192,105 @@ _CHARGE_BLOCK = (["n = len(cost_classes)",
                  + _looped("n", "base_total", "base_costs"))
 
 
-def _generated_paths(mem_lines: list[str], namespace: dict):
+#: The four locals of a translated access: its page number, physical
+#: address, L1 set dict and tag.
+_PLAIN = ("_avp", "_apa", "_awy", "_atg")
+
+
+@functools.cache
+def _mem_templates(page_shift: int, line_shift: int, nsets: int,
+                   hit_cycles: int, window: tuple | None) -> tuple:
+    """The batched memory templates of one geometry (DESIGN §4.3):
+    ``(mem, translate, update, hits, line_key, mem_lines)``, as
+    :class:`~repro.vm.platform.MemInline` describes them, and
+    ``mem("vaddr")``, the body of ``mem_access``.
+
+    Geometry is baked into the lines as literals, so the rendered source
+    is also the cache key of every artifact compiled from it, and one
+    geometry's templates serve every platform that has it.  ``window`` is
+    the Oracle-JIT's registerized address range, or None.
+    """
+    page_mask = (1 << page_shift) - 1
+
+    def translate(expr, names=_PLAIN) -> list[str]:
+        # The page-table lookup; a page's first touch allocates its frame.
+        page, paddr, ways, tag = names
+        return [f"_am = {expr}",
+                f"{page} = _am >> {page_shift}",
+                f"_apf = _ptg({page})",
+                "if _apf is None:",
+                f"    {paddr} = _xl(_am)",
+                "else:",
+                f"    {paddr} = (_apf << {page_shift}) | (_am & {page_mask})",
+                f"_ali = {paddr} >> {line_shift}",
+                f"{ways} = _l1S[_ali % {nsets}]",
+                f"{tag} = _ali // {nsets}"]
+
+    def update(names=_PLAIN, first=True, inline=False) -> list[str]:
+        # The TLB and L1 LRU moves; the miss sides go through the
+        # components, so their state evolves exactly as on the reference
+        # path.  ``inline`` counts hits per access, as ``mem_access`` does.
+        page, paddr, ways, tag = names
+        tlb_hit, tlb_miss = ((["_tlbO.hits += 1"], []) if inline
+                             else ([], ["_mt += 1"]))
+        l1_hit, l1_miss = (
+            (["_l1O.hits += 1", f"_acc[{_ACC_CACHE}] += {hit_cycles}"], [])
+            if inline else ([], ["_mc += 1"]))
+        if first:
+            l1_hit += ["if _l1O._pending_writeback:",
+                       f"    _acc[{_ACC_CACHE}] += _l1wb()"]
+        return ([f"if {page} in _tlbE:"]
+                + _indent(tlb_hit + [f"del _tlbE[{page}]",
+                                     f"_tlbE[{page}] = True"])
+                + ["else:"]
+                + _indent(tlb_miss + [f"_acc[{_ACC_TLB}] += _tlbM({page})"])
+                + [f"if {tag} in {ways}:"]
+                + _indent([f"del {ways}[{tag}]", f"{ways}[{tag}] = True"]
+                          + l1_hit)
+                + ["else:"]
+                + _indent(l1_miss + [
+                    f"_acc[{_ACC_CACHE}] += _l1M({paddr},"
+                    f" ({paddr} >> {line_shift}) % {nsets}, {tag})"]))
+
+    def mem(expr) -> list[str]:
+        lines = translate(expr) + update(inline=True)
+        if window is None:
+            return lines
+        return ([lines[0], f"if not ({window[0]} <= _am < {window[1]}):"]
+                + _indent(lines[1:]))
+
+    def hits(count: str) -> list[str]:
+        return [f"_tlbO.hits += {count} - _mt",
+                f"_l1O.hits += {count} - _mc",
+                f"_acc[{_ACC_CACHE}] += {hit_cycles} * ({count} - _mc)"]
+
+    # Keys are static line numbers: constant addresses (globals, code)
+    # directly, and frame slots as offsets from the frame base, a
+    # multiple of ``_FRAME_ALIGN``.  A line larger than the page is not
+    # confined to one page, and a frame slot of the Oracle-JIT model is
+    # an access only in frames beyond the registerized window, so those
+    # get no key.
+    same_page = line_shift <= page_shift
+    frame_keys = (same_page and window is None
+                  and _FRAME_ALIGN % (1 << line_shift) == 0)
+
+    def line_key(addr: int, frame: bool = False):
+        if frame:
+            return ("frame", addr >> line_shift) if frame_keys else None
+        if not same_page or (window is not None
+                             and window[0] <= addr < window[1]):
+            return None
+        return addr >> line_shift
+
+    return mem, translate, update, hits, line_key, tuple(mem("vaddr"))
+
+
+def _generated_paths(mem_lines: tuple, namespace: dict,
+                     charge_lines: list[str]):
     """The ``(mem_access, charge, charge_block)`` closures over
     ``namespace``: ``mem_access(vaddr)`` runs ``mem_lines``, ``charge``
-    :data:`_CHARGE` and ``charge_block`` :data:`_CHARGE_BLOCK`.
+    ``charge_lines`` (from :data:`_CHARGES`) and ``charge_block``
+    :data:`_CHARGE_BLOCK`.
 
     The source is compiled once per distinct text, into a factory that
     takes the namespace as arguments, so every platform after the first
@@ -184,7 +303,7 @@ def _generated_paths(mem_lines: list[str], namespace: dict):
         + [f"    def {signature}:{indent}{indent.join(body)}"
            for signature, body in (
                ("mem_access(vaddr)", mem_lines),
-               ("charge(cost_class)", _CHARGE),
+               ("charge(cost_class)", charge_lines),
                ("charge_block(cost_classes, base_costs=None,"
                 " base_total=None)", _CHARGE_BLOCK))]
         + ["    return mem_access, charge, charge_block"])
@@ -293,9 +412,9 @@ class TimedCorePlatform(Platform):
         return list(self.cpu._cost_list)
 
     def mem_inline(self) -> MemInline | None:
-        """The batched templates (``render_mem``, the repeat hit,
-        ``render_charge``) and their namespace, for inlining memory
-        accesses and the block charge into trace blocks.
+        """The batched templates (the memory access's two halves and
+        exit sums, ``render_charge``) and their namespace, for inlining
+        memory accesses and the block charge into trace blocks.
 
         None on the unbatched reference (``REPRO_NO_BATCH=1`` or a
         non-LRU L1), whose compiled blocks call ``mem_access`` and
@@ -345,10 +464,10 @@ class TimedCorePlatform(Platform):
         removed is measurable.  Every cost is one integer add to its
         source's accumulator slot, with or without a ledger attached;
         ``flush_charges`` splits the bus stalls out of the cache slot.
-        The memory access is built from the ``render_mem`` template that
-        compiled trace blocks inline, and ``charge`` and ``charge_block``
-        from the closed form ``render_charge`` inlines, so no two of them
-        can diverge.  They update the CPU's own counters, redraw points
+        The memory access is built from the templates compiled trace
+        blocks inline, and ``charge`` and ``charge_block`` from the
+        closed form ``render_charge`` inlines, so no two of them can
+        diverge.  They update the CPU's own counters, redraw points
         and carry, so ``CpuModel.instruction_cost`` callers interleave
         transparently.
         """
@@ -361,12 +480,8 @@ class TimedCorePlatform(Platform):
             if penalty:
                 acc[_ACC_BRANCH] += penalty
 
-        # The batched memory access as source lines over ``inline_ns``:
-        # the TLB hit, the page-table lookup and the L1 hit (an LRU move)
-        # run inline, and the miss sides go through the components, so
-        # their state evolves exactly as on the reference path.  Geometry
-        # is baked in as literals, so the rendered source is also the
-        # cache key of every artifact compiled from it.
+        # The batched memory access as source lines over ``inline_ns``
+        # (see :func:`_mem_templates`), and the charges.
         tlb = self.tlb
         l1 = self.hierarchy.l1
         space = self.space
@@ -377,73 +492,21 @@ class TimedCorePlatform(Platform):
             "_l1M": self.hierarchy.access_after_l1_miss,
             "_l1wb": l1.take_writeback_cost, "_acc": acc, "_cpu": cpu,
         }
-        page_shift = space._page_shift
-        page_mask = space.page_size - 1
-        nsets = l1._num_sets
-        registerized = self._registerized_base
-
-        def render_mem(expr: str) -> list[str]:
-            body = [f"_avp = _am >> {page_shift}",
-                    "if _avp in _tlbE:",
-                    "    _tlbO.hits += 1",
-                    "    del _tlbE[_avp]",
-                    "    _tlbE[_avp] = True",
-                    "else:",
-                    f"    _acc[{_ACC_TLB}] += _tlbM(_avp)",
-                    "_apf = _ptg(_avp)",
-                    "if _apf is None:",
-                    "    _apa = _xl(_am)",
-                    "else:",
-                    f"    _apa = (_apf << {page_shift}) | (_am & {page_mask})",
-                    f"_ali = _apa >> {l1._line_shift}",
-                    f"_awy = _l1S[_ali % {nsets}]",
-                    f"_atg = _ali // {nsets}",
-                    "if _atg in _awy:",
-                    "    _l1O.hits += 1",
-                    "    del _awy[_atg]",
-                    "    _awy[_atg] = True",
-                    f"    _acc[{_ACC_CACHE}] += {l1.config.hit_cycles}",
-                    "    if _l1O._pending_writeback:",
-                    f"        _acc[{_ACC_CACHE}] += _l1wb()",
-                    "else:",
-                    f"    _acc[{_ACC_CACHE}] += _l1M(_apa, _ali % {nsets},"
-                    " _atg)"]
-            if registerized is not None:
-                body = ([f"if not ({registerized[0]} <= _am"
-                         f" < {registerized[1]}):"]
-                        + ["    " + line for line in body])
-            return [f"_am = {expr}"] + body
-
-        # Repeat-line elision (DESIGN §4.3).  After any access its page
-        # is the TLB's most recently used entry, its line the most
-        # recently used way of its L1 set, and no L1 writeback is
-        # pending, so the next access to that line only counts two hits
-        # and charges the hit latency.  Keys are static line numbers:
-        # constant addresses (globals, code) directly, and frame slots
-        # as offsets from the frame base, a multiple of ``_FRAME_ALIGN``.
-        # A line larger than the page is not confined to one page, and a
-        # frame slot of the Oracle-JIT model is an access only in frames
-        # beyond the registerized window, so those render in full.
-        line_shift = l1._line_shift
-        same_page = line_shift <= page_shift
-        frame_keys = (same_page and registerized is None
-                      and _FRAME_ALIGN % l1.config.line_bytes == 0)
-
-        def line_key(addr: int, frame: bool = False):
-            if frame:
-                return ("frame", addr >> line_shift) if frame_keys else None
-            if not same_page or (registerized is not None and
-                                 registerized[0] <= addr < registerized[1]):
-                return None
-            return addr >> line_shift
-
-        hit = ("_tlbO.hits += 1", "_l1O.hits += 1",
-               f"_acc[{_ACC_CACHE}] += {l1.config.hit_cycles}")
-        mem_lines = render_mem("vaddr")
-        self._mem_inline = MemInline(render_mem, hit, render_charge, line_key,
-                                     inline_ns, (*mem_lines, *hit))
+        window = self._registerized_base
+        *templates, mem_lines = _mem_templates(
+            space._page_shift, l1._line_shift, l1._num_sets,
+            l1.config.hit_cycles, window)
+        # Without speculation noise, frequency scaling and turbo,
+        # ``CpuModel._recompute_noise`` only ever draws 1.0.
+        timing = cpu.config
+        exact = not (timing.speculation_sigma or timing.freq_scaling_enabled
+                     or timing.turbo_enabled)
+        self._mem_inline = MemInline(
+            *templates, functools.partial(render_charge, exact=exact),
+            window is not None, inline_ns, (*mem_lines, exact))
         mem_access, charge, charge_block = _generated_paths(
-            mem_lines, {**inline_ns, "_costs": cpu._cost_list})
+            mem_lines, {**inline_ns, "_costs": cpu._cost_list},
+            _CHARGES[exact])
         self.charge = charge
         self.charge_block = charge_block
         self.mem_access = mem_access

@@ -19,24 +19,44 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class MemInline(NamedTuple):
     """Source templates a batched platform lends to compiled trace
-    blocks (DESIGN §4.3), and the namespace their lines reference."""
+    blocks (DESIGN §4.3), and the namespace their lines reference.
+
+    A block renders an access as ``translate`` then ``update``, and
+    adds the hit counters its accesses would have added once per exit,
+    through ``hits``: misses are counted in the locals ``_mt`` (TLB) and
+    ``_mc`` (L1), which the block sets to 0 on entry.
+    """
 
     #: ``mem(expr)``: lines charging a memory access at address
-    #: ``expr``, with state updates identical to ``mem_access``.
+    #: ``expr`` exactly as ``mem_access`` does, hit counters included.
     mem: Callable[[str], list]
-    #: Lines charging an access to the line the previous access on the
-    #: same path touched.
-    hit: tuple
+    #: ``translate(expr, names=...)``: lines binding the four local
+    #: ``names`` to the page number, physical address, L1 set dict and
+    #: tag of an access at address ``expr`` (allocating the page's frame
+    #: on its first touch).
+    translate: Callable[..., list]
+    #: ``update(names=..., first=True)``: lines making the TLB and L1
+    #: LRU moves of the access ``translate`` bound to ``names``, with
+    #: their miss sides, counting misses instead of hits.  ``first``
+    #: also collects a pending L1 writeback on a hit, which an access
+    #: after another access in the same block never meets.
+    update: Callable[..., list]
+    #: ``hits(count)``: lines adding the TLB and L1 hit counts and the
+    #: L1 hit latency of ``count`` accesses, less the misses counted.
+    hits: Callable[[str], list]
+    #: ``line_key(addr, frame=False)``: the static L1-line key of an
+    #: access at constant address ``addr`` (at offset ``addr`` from the
+    #: frame base when ``frame``), or None when none can be proven.  Two
+    #: accesses in one block call with equal keys touch the same line.
+    line_key: Callable[..., object]
     #: ``charge(bases, fallback)``: lines charging an instruction stream
     #: of base costs ``bases`` in closed form, running the source line
     #: ``fallback`` instead when a noise redraw falls inside it.
     charge: Callable[[tuple, str], list]
-    #: ``line_key(addr, frame=False)``: the static L1-line key of an
-    #: access at constant address ``addr`` (at offset ``addr`` from the
-    #: frame base when ``frame``), or None when the access must render
-    #: through ``mem``.  Two consecutive accesses on one path with equal
-    #: keys touch the same line.
-    line_key: Callable[..., object]
+    #: Whether an access without a line key may be skipped at run time
+    #: (the Oracle-JIT model's registerized window): such an access
+    #: renders through ``mem``.
+    guarded: bool
     namespace: dict
     #: Everything the templates bake into their source (the compile-cache
     #: key of the blocks rendered from them).

@@ -10,11 +10,10 @@ is rendered from its row of :data:`repro.vm.isa.ROWS`, the table the
 interpreter renders its dispatch ladder from, so the two tiers share
 one statement of every opcode's semantics.  On a batched platform the
 block inlines the platform's templates (:meth:`Platform.mem_inline`):
-each memory access, rendered as a repeat hit when it touches the line
-the previous access on its path touched, and the block's charge, in
-closed form unless a noise redraw falls inside the block.  Otherwise the
-block calls :meth:`Platform.charge_block` once per execution instead of
-charging once per instruction.
+each memory access, and the block's charge, in closed form unless a
+noise redraw falls inside the block.  Otherwise the block calls
+:meth:`Platform.charge_block` once per execution instead of charging
+once per instruction.
 
 Time determinism is the design constraint, not an afterthought:
 
@@ -33,17 +32,28 @@ Time determinism is the design constraint, not an afterthought:
   from one closed-form template, so cycles are bit-identical either way
   (DESIGN §4.3).
 
-* **Exact repeat hits.**  After any access its page and line are the
-  most recently used entries of the TLB and of their L1 set, with no
-  writeback pending, so the next access to the same line only counts
-  two hits and charges the L1 hit latency (DESIGN §4.3).
+* **Lines translated once per call.**  Page-table entries are never
+  removed and L1 set dicts never rebound, so an access to a static line
+  (a frame slot or a constant address) that a call already translated
+  makes only the TLB and L1 LRU moves and their miss sides, on the
+  first translation's locals; self-loop iterations after the first
+  included.  An access to the line the previous access on its path
+  touched renders nothing: its LRU moves are no-ops (DESIGN §4.3).
+
+* **Counters added once per exit.**  Nothing reads the TLB and L1 hit
+  counts, the L1 hit latency, the instruction counts or the block's
+  own counters before the block returns, so each exit adds them once.
+  The hits are the path's static access count, times the iterations
+  run in a self-loop, less the misses counted on the miss sides.
+  Accesses the Oracle-JIT model may registerize count their hits
+  inline.
 
 * **Side exits.**  Every fault-capable instruction records its offset
   before executing; on a guest throw the generated code charges the
-  exact prefix, advances the counters by the instructions actually
-  retired, restores ``frame.pc`` to the interpreter's convention (one
-  past the faulting instruction) and re-raises for the interpreter's
-  exception dispatch.
+  exact prefix, adds the counters of the instructions and accesses
+  actually retired, restores ``frame.pc`` to the interpreter's
+  convention (one past the faulting instruction) and re-raises for the
+  interpreter's exception dispatch.
 
 * **Excluded opcodes.**  Calls/returns, allocation (GC), ``THROW``,
   ``NATIVE`` (I/O, time reads, covert-channel hooks) and ``HALT`` have
@@ -59,6 +69,7 @@ on and off, mirroring the ``REPRO_NO_BATCH`` harness of PR 3.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -93,14 +104,6 @@ def _static(expr: str) -> int:
     """The value of a row's constant address expression (its operands
     are slot and global indices, so the cache stays small)."""
     return eval(expr, {"GLOBALS_BASE": GLOBALS_BASE})  # noqa: S307
-
-
-def _retire(count, cycles, counter: str) -> list[str]:
-    """Lines counting ``count`` retired instructions and ``cycles`` base
-    cycles, and one more block ``counter`` ("entries", "side_exits")."""
-    return [f"vm.instruction_count += {count}", f"thread.executed += {count}",
-            f"_B.{counter} += 1", f"_B.instructions += {count}",
-            f"_B.cycles += {cycles}"]
 
 
 def _indent(lines: list[str]) -> list[str]:
@@ -241,6 +244,17 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         need = max(need, len(row.pops) - depth)
         depth += len(row.push) - len(row.pops)
 
+    # Self-loop blocks: a terminator that branches back to this block's
+    # own head with a balanced stack (exactly as many surviving slots as
+    # entry slots) iterates *inside* the generated function — the entry
+    # registers are rebound register-to-register on the back edge, so
+    # the hot path pays no stack traffic and no dispatch per iteration.
+    # The caller passes the iteration budget ``_r`` (how many whole
+    # blocks fit before the next poll/slice/limit boundary), and every
+    # iteration charges exactly like a separate entry would.
+    loops = (terminator_pc is not None and args[terminator_pc] == head
+             and depth == 0)
+
     # Pre-summed charging data.  ``classes`` drive the generic per-
     # instruction replay, ``bases`` the batched exact loop; ``total`` is
     # the noise-free base sum the fast path charges in one add.  Base
@@ -253,7 +267,8 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     else:
         bases = (0,) * n
     total = sum(bases)
-    #: fault offset -> (class prefix, base prefix, base prefix sum)
+    #: fault offset -> (class prefix, base prefix, base prefix sum,
+    #: accesses before the fault)
     prefix: dict[int, tuple] = {}
 
     # Everything the generated code needs that is *not* per-run state:
@@ -270,12 +285,52 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     # Platforms may provide source templates for the memory path and the
     # block charge, in which case every data access and fetch is
     # expanded inline instead of calling the mem_access closure once per
-    # access.  An access to the line of the access rendered just before
-    # it on the same path renders as a repeat hit (DESIGN §4.3):
-    # ``last_key`` is that line's static key, None at the top of the
-    # block and of a self-loop body, and after any access without one.
+    # access (DESIGN §4.3).  An access with a static line key translates
+    # its line once per call, into locals of its own, when the call
+    # meets that line again after touching another; later accesses make
+    # only the LRU moves.  An access to the line of the access just
+    # before it on the same path renders nothing.  Hit counters are
+    # summed at the exits, from each path's count of accesses.
     inline = platform.mem_inline()
-    last_key = None
+    guarded = inline is not None and inline.guarded
+    code_window = CODE_BASE + function.index * CODE_STRIDE
+
+    def line_key(addr: int, frame: bool = False):
+        return None if inline is None else inline.line_key(addr, frame)
+
+    def site(pc):
+        """The address expression and line key of the access at ``pc``,
+        when its row's address is a frame offset or a constant."""
+        kind, addr = ROWS[ops[pc]].mem
+        value = _static(addr.format(arg=repr(args[pc])))
+        frame = kind == "frame"
+        return (f"_base + {value}" if frame else value,
+                line_key(value, frame))
+
+    def summed(key) -> bool:
+        """Whether an access with line key ``key`` leaves its hits to the
+        exit sums: one the registerized guard may skip counts its own."""
+        return inline is not None and not (key is None and guarded)
+
+    # The line keys of one pass's accesses in program order (None for
+    # an access without one), a self-loop's back-edge fetch last.  Lines
+    # get locals of their own when a call meets them again after an
+    # access to another line: every line of a self-loop (later
+    # iterations reuse it), elsewhere a line with several such sites.
+    keys = [None if ROWS[ops[pc]].mem[0] == "heap" else site(pc)[1]
+            for pc in picked if pc != terminator_pc and ROWS[ops[pc]].mem]
+    back_key = None
+    if loops:
+        back_key = line_key(code_window + head * 4)
+        keys.append(back_key)
+    met = collections.Counter(
+        key for key, previous in zip(keys, [None] + keys)
+        if key is not None and key != previous)
+    captured = {key: (f"_vp{j}", f"_pa{j}", f"_ws{j}", f"_tg{j}")
+                for j, key in enumerate(k for k, c in met.items()
+                                        if loops or c > 1)}
+    # The accesses of a self-loop iteration whose hits the exits sum.
+    per_iteration = sum(map(summed, keys))
 
     body: list[str] = []
     #: Compile-time model of the operand stack: entry slots ``_e*`` then
@@ -285,31 +340,76 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     vstack = [f"_e{i}" for i in range(need)]
     uses_locals = uses_globals = uses_heap = False
     has_faults = False
+    counts = False      # some access counts misses in _mt/_mc
     cond_value: str | None = None
-    code_window = CODE_BASE + function.index * CODE_STRIDE
+    last_key = None     # line key of the previous access on the path
+    counted = 0         # accesses on the path whose hits an exit sums
+    translated = set()  # captured lines translated on the path
 
-    def access_lines(expr, key) -> list[str]:
-        if key is not None and key == last_key:
-            return list(inline.hit)
-        return inline.mem(str(expr))
-
-    def emit_mem(expr, key=None) -> None:
-        nonlocal last_key
+    def access(expr, key, call="_mem") -> list[str]:
+        nonlocal last_key, counted, counts
         if inline is None:
-            body.append(f"_mem({expr})")
-            return
-        body.extend(access_lines(expr, key))
-        last_key = key
+            return [f"{call}({expr})"]
+        previous, last_key = last_key, key
+        if not summed(key):
+            return inline.mem(str(expr))
+        counted += 1
+        counts = True
+        if key is not None and key == previous:
+            return []       # the LRU moves of a repeat are no-ops
+        names = captured.get(key)
+        if names is None:
+            return inline.translate(str(expr)) + inline.update()
+        if key in translated:
+            return inline.update(names, first=False)
+        translated.add(key)
+        full = inline.translate(str(expr), names) + inline.update(names)
+        if not loops:
+            return full
+        # Later iterations run the update half on the first
+        # iteration's translation.
+        return (["if _r == _R:"] + _indent(full) + ["else:"]
+                + _indent(inline.update(names, first=False)))
 
-    def fetch_lines(addr: int) -> list[str]:
-        # Fetches of branch targets end their path: they never become
-        # the previous access of another.
+    def exit_fetch(addr: int) -> tuple[list[str], int]:
+        """A branch target's fetch on an exit path, and how many
+        accesses it adds to that exit's hit sums."""
+        nonlocal counts
         if inline is None:
-            return [f"_fetch({addr})"]
-        return access_lines(addr, line_key(addr))
+            return [f"_fetch({addr})"], 0
+        if not summed(line_key(addr)):
+            return inline.mem(str(addr)), 0
+        counts = True
+        return inline.translate(str(addr)) + inline.update(), 1
 
-    def line_key(addr: int, frame: bool = False):
-        return None if inline is None else inline.line_key(addr, frame)
+    def leave(instrs, cycles, accesses, counter) -> list[str]:
+        """Lines adding the counters the block only adds to, for the
+        call so far: ``_k`` whole iterations of a self-loop, then a pass
+        of ``instrs`` instructions, ``cycles`` base cycles and
+        ``accesses`` summed accesses that adds one to ``counter``
+        ("entries", "side_exits", or None for no pass)."""
+        def plus(per, rest) -> str:
+            terms = ([f"{per} * _k" if per != 1 else "_k"]
+                     if loops and per else [])
+            return " + ".join(terms + ([str(rest)] if rest != 0 else [])) \
+                or "0"
+
+        count = plus(n, instrs)
+        lines = ((["_k = _R - _r"] if loops else [])
+                 + [f"vm.instruction_count += {count}",
+                    f"thread.executed += {count}",
+                    f"_B.instructions += {count}",
+                    f"_B.cycles += {plus(total, cycles)}"])
+        entries = plus(1, int(counter == "entries"))
+        if entries != "0":
+            lines.append(f"_B.entries += {entries}")
+        if counter == "side_exits":
+            lines.append("_B.side_exits += 1")
+        return lines + sums(plus(per_iteration, accesses))
+
+    def sums(accesses) -> list[str]:
+        """Lines adding the hits of ``accesses`` summed accesses."""
+        return [] if accesses in ("0", 0) else inline.hits(str(accesses))
 
     for k, pc in enumerate(picked):
         op = ops[pc]
@@ -332,11 +432,12 @@ def _build_region(function: "Function", head: int, platform: "Platform",
             body.append(f"_tk = {row.branch.format(v=vstack.pop())}")
             body.append(f"_branch({gsite}, _tk)")
             body.append("if _tk:")
+            fetch, fetched = exit_fetch(code_window + arg * 4)
             body += _indent(_pushback(vstack)
-                            + [f"_charge_block(_GC{k}, _GB{k}, {pfx_total})"]
-                            + _retire(k + 1, pfx_total, "side_exits")
-                            + [f"frame.pc = {arg}"]
-                            + fetch_lines(code_window + arg * 4) + ["return"])
+                            + [f"_charge_block(_GC{k}, _GB{k}, {pfx_total})",
+                               f"frame.pc = {arg}"] + fetch
+                            + leave(k + 1, pfx_total, counted + fetched,
+                                    "side_exits") + ["return"])
             continue
         # The row's semantics over the registerized stack: operands are
         # stack-slot names, and a result that is an operand or the
@@ -354,10 +455,11 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         uses_locals |= "{L}" in text
         uses_globals |= "{G}" in text
         if row.checks or "ref" in row.pops:
-            # A fault site: record the offset for the side exit.
+            # A fault site: record the offset for the side exit.  Its
+            # throw comes before its own access.
             has_faults = True
             prefix[k] = (classes[:k + 1], bases[:k + 1],
-                         sum(bases[:k + 1]))
+                         sum(bases[:k + 1]), counted)
             body.append(f"_i = {k}")
         if "ref" in row.pops:
             uses_heap = True
@@ -368,16 +470,11 @@ def _build_region(function: "Function", head: int, platform: "Platform",
             body.append(f"if {condition.format(**names)}:")
             body.append(f"    raise _GT({code})")
         if row.mem is not None:
-            kind, addr = row.mem
-            addr = addr.format(**names)
-            if kind == "heap":
-                emit_mem(addr)
+            if row.mem[0] == "heap":
+                body += access(row.mem[1].format(**names), None)
             else:
-                # A frame offset or a constant address: a static line key.
-                value, frame = _static(addr), kind == "frame"
-                uses_locals |= frame
-                emit_mem(f"_base + {value}" if frame else value,
-                         line_key(value, frame))
+                uses_locals |= row.mem[0] == "frame"
+                body += access(*site(pc))
         if row.put:
             body.append(row.put.format(**names))
         for expr in row.push:
@@ -389,25 +486,12 @@ def _build_region(function: "Function", head: int, platform: "Platform",
             body += (render_wrap(f"_t{k} = {{}}", expr) if row.wrap
                      else [f"_t{k} = {expr}"])
 
-    # Self-loop blocks: a terminator that branches back to this block's
-    # own head with a balanced stack (exactly as many surviving slots as
-    # entry slots) iterates *inside* the generated function — the entry
-    # registers are rebound register-to-register on the back edge, so
-    # the hot path pays no stack traffic and no dispatch per iteration.
-    # The caller passes the iteration budget ``_r`` (how many whole
-    # blocks fit before the next poll/slice/limit boundary), and every
-    # iteration charges and counts exactly like a separate entry would.
-    loops = (terminator_pc is not None
-             and args[terminator_pc] == head
-             and len(vstack) == need)
-
     # The block charge runs inline in closed form unless a noise redraw
     # falls inside the block; side exits charge their prefix through
     # ``charge_block``.
     charge = "_charge_block(_CLS, _BAS, _TOT)"
     charge_lines = ([charge] if inline is None
                     else inline.charge(bases, charge))
-    charge_lines += _retire(n, "_TOT", "entries")
     pushback = _pushback(vstack)
 
     entry_names = [f"_e{i}" for i in range(need)]
@@ -416,27 +500,45 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         rebind.append(f"{', '.join(entry_names)} = {', '.join(vstack)}")
 
     if terminator_pc is None:
-        epilogue = pushback + charge_lines + [f"frame.pc = {picked[-1] + 1}"]
+        epilogue = (pushback + charge_lines
+                    + leave(n, total, counted, "entries")
+                    + [f"frame.pc = {picked[-1] + 1}"])
+    elif loops:
+        # while-True epilogue: charge this iteration, then either take
+        # the back edge in-function (budget permitting) or break out
+        # with the counters added and frame.pc set for the interpreter.
+        target = args[terminator_pc]
+        passed = counted
+        taken = (access(code_window + target * 4, back_key, "_fetch")
+                 + ["_r -= 1", "if _r > 0:"] + _indent(rebind + ["continue"])
+                 + leave(0, 0, 0, None) + [f"frame.pc = {target}"])
+        if cond_value is not None:
+            site_pc = function.index * CODE_STRIDE + terminator_pc
+            taken = ([f"_tk = {cond_value}", f"_branch({site_pc}, _tk)",
+                      "if _tk:"] + _indent(taken) + ["else:"]
+                     + _indent(leave(n, total, passed, "entries")
+                               + [f"frame.pc = {terminator_pc + 1}"]))
+        epilogue = charge_lines + taken + ["break"]
     else:
         target = args[terminator_pc]
-        if loops:
-            # while-True epilogue: charge this iteration, then either
-            # take the back edge in-function (budget permitting) or
-            # break out with frame.pc set for the interpreter.
-            taken = (fetch_lines(code_window + target * 4)
-                     + ["_r -= 1", "if _r > 0:"]
-                     + _indent(rebind + ["continue"])
-                     + [f"frame.pc = {target}"])
+        fetch, fetched = exit_fetch(code_window + target * 4)
+        if cond_value is None:
+            epilogue = (pushback + charge_lines + [f"frame.pc = {target}"]
+                        + fetch
+                        + leave(n, total, counted + fetched, "entries"))
         else:
-            taken = ([f"frame.pc = {target}"]
-                     + fetch_lines(code_window + target * 4))
-        if cond_value is not None:
-            site = function.index * CODE_STRIDE + terminator_pc
-            taken = ([f"_tk = {cond_value}", f"_branch({site}, _tk)",
-                      "if _tk:"] + _indent(taken)
-                     + ["else:", f"    frame.pc = {terminator_pc + 1}"])
-        epilogue = ((charge_lines + taken + ["break"]) if loops
-                    else pushback + charge_lines + taken)
+            # Both ways out retire the same pass; only the taken one
+            # fetches.
+            site_pc = function.index * CODE_STRIDE + terminator_pc
+            epilogue = (pushback + charge_lines
+                        + leave(n, total, 0, "entries")
+                        + [f"_tk = {cond_value}", f"_branch({site_pc}, _tk)",
+                           "if _tk:"]
+                        + _indent([f"frame.pc = {target}"] + fetch
+                                  + sums(counted + fetched))
+                        + ["else:"]
+                        + _indent([f"frame.pc = {terminator_pc + 1}"]
+                                  + sums(counted)))
 
     prologue = ["_s = frame.stack"]
     if need == 1:
@@ -454,15 +556,20 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         prologue.append("_G = vm.globals")
     if uses_heap:
         prologue.append("_hget = vm.heap.get")
+    if loops:
+        prologue.append("_R = _r")
+    if counts:
+        prologue.append("_mt = _mc = 0")
 
     # A self-loop body iterates in-function and writes the stack back
     # once it leaves; a throw anywhere leaves through the side exit.
     main = ["while True:"] + _indent(body + epilogue) if loops else body
     if has_faults:
         main = (["_i = 0", "try:"] + _indent(main) + ["except _GT:"]
-                + _indent(["_xc, _xb, _xt = _PFX[_i]", "_n = _i + 1",
+                + _indent(["_xc, _xb, _xt, _xa = _PFX[_i]", "_n = _i + 1",
                            "_charge_block(_xc, _xb, _xt)",
-                           *_retire("_n", "_xt", "side_exits"),
+                           *leave("_n", "_xt", "_xa" if counts else 0,
+                                  "side_exits"),
                            f"frame.pc = {head} + _n", "raise"]))
     params = "vm, thread, frame, _r" if loops else "vm, thread, frame"
     source = "\n".join([f"def _block({params}):"] + _indent(

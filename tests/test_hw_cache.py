@@ -120,6 +120,25 @@ class TestCacheBasics:
         b.access(0x40)
         assert a.state_fingerprint() == b.state_fingerprint()
 
+    def test_sets_keep_their_dicts(self):
+        """Every state change mutates the set dicts in place: compiled
+        trace blocks hold a set's dict across the accesses of one call."""
+        c = make_cache(size=1024, ways=2)
+        sets = list(c._sets)
+        rng = SplitMix64(9)
+
+        def fill():
+            for i in range(3 * len(sets)):
+                c.fill(i % len(sets), i)
+
+        for change in (fill, c.flush, lambda: c.pollute(rng, 40),
+                       lambda: c.randomize(rng, fill_fraction=0.75), fill,
+                       c.flush):
+            change()
+            assert len(c._sets) == len(sets)
+            assert all(now is then for now, then in zip(c._sets, sets))
+        assert c.misses and c.occupancy == 0
+
     @given(st.lists(st.integers(min_value=0, max_value=1 << 20),
                     min_size=1, max_size=300))
     @settings(max_examples=50, deadline=None)

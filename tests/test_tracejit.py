@@ -12,6 +12,7 @@ available behind ``REPRO_NO_JIT=1`` as the differential reference
 
 from __future__ import annotations
 
+import ast
 import sys
 from dataclasses import replace
 
@@ -31,8 +32,12 @@ from repro.machine.config import RuntimeKind
 from repro.machine.machine import Machine
 from repro.machine.platform import _ACC_INSTR, TimedCorePlatform
 from repro.obs import Observability
+from repro.vm import tracejit
+from repro.vm.heap import HEAP_BASE
 from repro.vm.interpreter import VmConfig
-from repro.vm.tracejit import (_MIN_BLOCK, _build_region, compile_region,
+from repro.vm.isa import ROWS, STACK_BASE
+from repro.vm.tracejit import (_MIN_BLOCK, _build_region, _static,
+                               compile_region,
                                jit_enabled)
 
 REQUESTS = 5
@@ -526,14 +531,24 @@ def _l1_line(line_bytes: int) -> MachineConfig:
                    l1_config=replace(config.l1_config, line_bytes=line_bytes))
 
 
-#: The boundaries of repeat-line elision: Oracle-JIT frame slots are
-#: registerized, a 32- or 128-byte line divides the 512-byte frame
-#: alignment, and a 1,024-byte line does not, so frame keys switch off.
-#: A 2-entry TLB misses inside loops that touch three pages, so a
-#: repeat hit rendered after an access to another page would change what
-#: the next miss evicts.
+def _l1_direct(size_bytes: int) -> MachineConfig:
+    config = MachineConfig()
+    return replace(config, l1_config=replace(config.l1_config,
+                                             size_bytes=size_bytes, ways=1))
+
+
+#: The boundaries of line keys: Oracle-JIT frame slots are registerized,
+#: a 32- or 128-byte line divides the 512-byte frame alignment, and a
+#: 1,024-byte line does not, so frame keys switch off.  A 2-entry TLB
+#: misses inside loops that touch three pages, so a repeat rendered
+#: after an access to another page would change what the next miss
+#: evicts.  A 1-entry TLB and a direct-mapped 512-byte L1 evict a line a
+#: block call translated between two of its accesses, so the miss sides
+#: of the update half run.
 ELISION_CONFIGS = {
+    "tlb-1": MachineConfig(tlb_entries=1),
     "tlb-2": MachineConfig(tlb_entries=2),
+    "l1-direct-512": _l1_direct(512),
     "oracle-jit": MachineConfig(runtime=RuntimeKind.ORACLE_JIT),
     "oracle-jit-dirty": replace(scenario_config(NoiseScenario.DIRTY),
                                 runtime=RuntimeKind.ORACLE_JIT),
@@ -597,8 +612,9 @@ def _elision_facts(runs):
 
 @pytest.fixture(scope="module", params=sorted(ELISION_CONFIGS))
 def elision_default(request, nfs_program):
-    """A boundary config and its facts with compiled blocks running
-    repeat hits and the inline block charge."""
+    """A boundary config and its facts with compiled blocks translating
+    static lines once per call, summing hits at their exits and charging
+    inline."""
     config = ELISION_CONFIGS[request.param]
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv("REPRO_NO_JIT", raising=False)
@@ -611,10 +627,11 @@ def elision_default(request, nfs_program):
 @pytest.mark.parametrize("knob", ("REPRO_NO_JIT", "REPRO_NO_BATCH"))
 def test_elision_boundaries_match_reference(nfs_program, monkeypatch,
                                             elision_default, knob):
-    """Compiled blocks with repeat-line hits and the inline block charge
-    against the pure interpreter (``REPRO_NO_JIT``) and the unbatched
-    reference (``REPRO_NO_BATCH``), on configs at the elision's
-    boundaries."""
+    """Compiled blocks with their lines translated once per call, their
+    hits summed at the exits and the inline block charge against the
+    pure interpreter (``REPRO_NO_JIT``) and the unbatched reference
+    (``REPRO_NO_BATCH``), on configs at the line keys' boundaries and
+    configs that evict translated lines mid-call."""
     config, facts = elision_default
     monkeypatch.setenv(knob, "1")
     assert _elision_facts(_elision_runs(nfs_program, config)) == facts
@@ -685,19 +702,128 @@ class TestWorkCounts:
         assert cpu._instructions == len(classes)
         assert called == [CpuModel._recompute_noise.__code__] * redraws
 
-    def test_checksum_loop_renders_repeat_hits(self, nfs_program):
-        """``process_chunk``'s self-loop at pc 18 touches one frame line
-        over and over: most of its accesses render as repeat hits."""
-        trip = _round_trip(nfs_program)
-        hot = [r for r in trip.play.jit["regions"]
-               if (r["function"], r["head_pc"]) == ("process_chunk", 18)]
-        assert hot and hot[0]["entries"] > 0
-
+    def test_checksum_loop_translates_its_frame_line_once(
+            self, nfs_program, monkeypatch):
+        """``process_chunk``'s self-loop at pc 18 reads one frame line
+        over and over.  An iteration that goes round updates no TLB or L1
+        hit counter (the block adds them once per exit), and a call looks
+        up the frame line's page once, however many iterations it runs."""
         platform = Machine(MachineConfig(), seed=3, mode="play").platform
-        hit = list(platform.mem_inline().hit)
         art = _build_region(nfs_program.function("process_chunk"), 18,
                             platform, 64, True)
         assert art["loops"]
-        lines = [line.strip() for line in art["source"].splitlines()]
-        hits = sum(lines[i:i + len(hit)] == hit for i in range(len(lines)))
-        assert hits >= 5
+        loop = next(node for node in ast.walk(ast.parse(art["source"]))
+                    if isinstance(node, ast.While))
+        hits = [node for statement in _round_trip_statements(loop.body)
+                for node in ast.walk(statement)
+                if isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Attribute)
+                and node.target.attr == "hits"]
+        assert not hits, [ast.unparse(node) for node in hits]
+
+        calls = _lookups_per_call(nfs_program, monkeypatch)[
+            ("process_chunk", 18)]
+        hot = calls["calls"]
+        assert hot and calls["entries"] > 2 * len(hot)
+        assert max(stack for stack, _, _ in hot) == 1
+
+    def test_blocks_look_up_each_static_line_once_per_call(
+            self, nfs_program, monkeypatch):
+        """Over the 5-request round trip, a compiled block call makes at
+        most one page-table lookup per static line key it accesses (frame
+        slots and constant addresses), one for a self-loop's back edge
+        and one for the branch target its exit fetches; each heap access
+        makes its own.  Rendering each full access's lookup, as blocks
+        did before, makes several per call in every self-loop."""
+        regions = _lookups_per_call(nfs_program, monkeypatch)
+        most = {region: (max(stack + other
+                             for stack, other, _ in facts["calls"]),
+                         facts["bound"])
+                for region, facts in regions.items()}
+        assert most
+        assert not {region: (made, bound)
+                    for region, (made, bound) in most.items() if made > bound}
+        assert sum(heap for facts in regions.values()
+                   for _, _, heap in facts["calls"]) > 0
+
+
+def _round_trip_statements(statements):
+    """The statements of a self-loop body that an iteration going round
+    runs: those before the back edge, less the side exits' suites."""
+    for statement in statements:
+        if isinstance(statement, ast.If):
+            if any(isinstance(s, ast.Continue) for s in statement.body):
+                return
+            if isinstance(statement.body[-1], ast.Return):
+                yield from statement.orelse
+                continue
+        yield statement
+
+
+def _static_lines(function, block, line_key) -> int:
+    """How many page-table lookups a call of ``block`` may make for
+    static lines: one per line key its frame and constant accesses
+    have, one for a self-loop's back edge, one for an exit's fetch."""
+    ops = function.ops[block.head:block.head + block.n]
+    args = function.args[block.head:block.head + block.n]
+    keys = {line_key(_static(ROWS[op].mem[1].format(arg=repr(arg))),
+                     ROWS[op].mem[0] == "frame")
+            for op, arg in zip(ops, args)
+            if ROWS[op].mem and ROWS[op].mem[0] != "heap"}
+    exits = any(ROWS[op].kind == "target" for op in ops)
+    return len(keys) + block.loops + exits
+
+
+def _lookups_per_call(nfs_program, monkeypatch):
+    """Run the 5-request round trip with every compiled block's calls
+    counted.  Returns, per region ``(function, head)``: the per-call
+    lookup ``bound`` of its longest variant, its ``entries``, and per
+    call the page-table lookups of stack, other non-heap and heap pages
+    it made."""
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    regions: dict = {}
+    current = [None]
+    compile_block = tracejit.compile_region
+
+    def counting_compile(function, head, platform, *args, **kwargs):
+        inline = platform.mem_inline()
+        lookup = inline.namespace["_ptg"]
+        if not hasattr(lookup, "counts"):
+            shift = platform.space._page_shift
+
+            def counted(page):
+                if current[0] is not None:
+                    vaddr = page << shift
+                    current[0][2 if vaddr >= HEAP_BASE else
+                               0 if vaddr >= STACK_BASE else 1] += 1
+                return lookup(page)
+
+            counted.counts = True
+            inline.namespace["_ptg"] = counted
+        block = compile_block(function, head, platform, *args, **kwargs)
+        if block is None:
+            return None
+        facts = regions.setdefault((function.name, head),
+                                   {"bound": 0, "calls": [], "blocks": []})
+        facts["bound"] = max(facts["bound"], _static_lines(
+            function, block, inline.line_key))
+        facts["blocks"].append(block)
+        run = block.run
+
+        def counted_run(*call):
+            current[0] = [0, 0, 0]
+            try:
+                return run(*call)
+            finally:
+                facts["calls"].append(tuple(current[0]))
+                current[0] = None
+
+        block.run = counted_run
+        return block
+
+    monkeypatch.setattr(tracejit, "compile_region", counting_compile)
+    _round_trip(nfs_program)
+    for facts in regions.values():
+        facts["entries"] = sum(block.entries for block in facts["blocks"])
+    return {region: facts for region, facts in regions.items()
+            if facts["calls"]}
