@@ -117,6 +117,13 @@ class MachineConfig:
             raise HardwareConfigError("frequency must be positive")
         if self.poll_stride_cycles <= 0:
             raise HardwareConfigError("poll stride must be positive")
+        if self.thread_quantum < 1:
+            raise HardwareConfigError(
+                f"thread quantum must be at least 1: {self.thread_quantum}")
+        if self.vm_poll_interval < 1:
+            raise HardwareConfigError(
+                f"VM poll interval must be at least 1: "
+                f"{self.vm_poll_interval}")
         if self.flush_caches_at_start and self.random_initial_cache:
             raise HardwareConfigError(
                 "flush_caches_at_start and random_initial_cache are "

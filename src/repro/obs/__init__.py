@@ -14,7 +14,7 @@ inspectable accounting system:
 * :mod:`repro.obs.sampling` — sampled opcode histograms from the
   interpreter hot loop;
 * :mod:`repro.obs.profiler` — the cycle-exact stack profiler: guest call
-  stacks captured on the poll branch and at trace-JIT block boundaries,
+  stacks captured at platform polls and at trace-JIT block boundaries,
   ledger-delta attribution (per-source frame totals sum exactly to the
   ledger), folded-stack + SVG flame-graph export;
 * :mod:`repro.obs.forensics` — play-vs-replay profile diffing: first

@@ -5,8 +5,8 @@ points land at arbitrary wall-clock instants, and the cost between two
 samples is estimated as ``interval x weight``.  This profiler is exact
 in the dimension that matters here — virtual cycles:
 
-* **Sample points are deterministic.**  Stacks are reconstructed only on
-  the interpreter's platform-poll branch (a fixed instruction count) and
+* **Sample points are deterministic.**  Stacks are reconstructed only at
+  platform polls (a fixed instruction count, in either tier) and
   at trace-JIT block boundaries / side exits — the same boundaries every
   other collector and the batched charging layer already key on.  The
   same program therefore samples at the same points in every run.
@@ -46,10 +46,11 @@ RUNTIME_FRAME = "(runtime)"
 class CycleProfiler:
     """Per-run stack profiler over one :class:`CycleLedger`.
 
-    The interpreter calls :meth:`poll` on the platform-poll branch (after
+    ``Interpreter.poll`` calls :meth:`poll` at every platform poll (after
     ``on_quantum`` flushed the batched charges, so the ledger is current)
-    and :meth:`block_boundary` when a compiled block exits; both stride
-    so the disabled-adjacent cost stays off the per-instruction path.
+    and the interpreter calls :meth:`block_boundary` when a compiled
+    block exits; both stride so the disabled-adjacent cost stays off the
+    per-instruction path.
     ``flush`` is the platform's ``flush_charges`` (or ``None`` for
     platforms without batched charging): block boundaries are not flush
     points by themselves, so the profiler flushes before reading the
@@ -87,8 +88,9 @@ class CycleProfiler:
             return
         self._tick = 0
         # frame.pc still holds the *current* instruction at poll time
-        # (write-back happens after the poll branch), so the leaf frame
-        # is exact; caller frames hold the pc after their CALL.
+        # (the interpreter writes it back after the poll, and a compiled
+        # block sets it for the poll), so the leaf frame is exact;
+        # caller frames hold the pc after their CALL.
         self._take((thread.thread_id, "interp",
                     tuple((f.function.index, f.pc) for f in thread.frames)))
 

@@ -3,8 +3,8 @@
 A full per-instruction opcode trace would dominate the simulation's host
 runtime, so the profiler samples instead: the interpreter calls
 :meth:`OpcodeSampler.record` with the current opcode once every
-``stride`` executed instructions (it piggybacks on the existing
-platform-poll branch, so the disabled cost is a single ``is None`` check
+``stride`` executed instructions (it piggybacks on the platform poll,
+``Interpreter.poll``, so the disabled cost is a single ``is None`` check
 per poll, not per instruction).  Under the deterministic round-robin
 scheduler the sample points are identical across runs of the same
 program, so sampled histograms are reproducible, and — like every
@@ -112,9 +112,8 @@ class OpcodeSampler:
 
         The inverse of :meth:`export` for both v1 (histogram only) and
         v2 (``sites``) shapes: mnemonics parse back to raw opcode
-        values — including the ``OP_<code>`` fallback names that
-        tail-of-window entries sampled through the tier-up's
-        short-variant fallback chain can carry — so
+        values — including the ``OP_<code>`` names of opcodes without
+        a mnemonic — so
         ``OpcodeSampler.from_export(s.export()).export() == s.export()``
         holds exactly.  Raises :class:`ObservabilityError` on a
         mnemonic no parser recognizes.

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 # among them the host functions row expressions call.
 from math import cos as _cos, sin as _sin, sqrt as _sqrt  # noqa: F401
 
-from repro.errors import GuestError, VMRuntimeError
+from repro.errors import GuestError, VMLoadError, VMRuntimeError
 from repro.hw.cpu import CostClass
 from repro.vm.heap import (GuestThrow, Heap, HeapConfig,  # noqa: F401
                            KIND_FLOAT_ARRAY, KIND_INT_ARRAY)
@@ -69,6 +69,16 @@ class VmConfig:
     jit: bool | None = None
     jit_hot_samples: int = 4        # poll samples before a function tiers up
     jit_max_block: int = 64         # instructions per compiled region
+
+    def __post_init__(self) -> None:
+        # A quantum below 1 runs no instruction per slice, and polls
+        # are counted modulo the interval.
+        if self.thread_quantum < 1:
+            raise VMLoadError(
+                f"thread quantum must be at least 1: {self.thread_quantum}")
+        if self.poll_interval < 1:
+            raise VMLoadError(
+                f"poll interval must be at least 1: {self.poll_interval}")
 
 
 class Frame:
@@ -113,11 +123,11 @@ class Interpreter:
         self.instruction_count = 0
         self.halted = False
         #: Optional :class:`repro.obs.sampling.OpcodeSampler`; when set,
-        #: the run loop records the opcode at every platform-poll point.
+        #: :meth:`poll` records the opcode at every platform-poll point.
         self.sampler = None
         #: Optional :class:`repro.obs.profiler.CycleProfiler`; when set,
-        #: the run loop reconstructs the guest stack on the poll branch
-        #: and at compiled-block boundaries (both strided).
+        #: :meth:`poll` and the run loop's compiled-block boundaries
+        #: reconstruct the guest stack (both strided).
         self.profiler = None
         #: Trace-compiling tier-up state (None = pure interpreter).
         #: Strictly per-run: compiled blocks capture this run's platform
@@ -211,6 +221,29 @@ class Interpreter:
 
     # ``run`` is rendered from :data:`_RUN` below the class: one function
     # whose dispatch ladder comes from the opcode table.
+
+    def poll(self, thread: ThreadState, function: Function, pc: int,
+             op: int) -> None:
+        """The platform poll at instruction ``pc`` (opcode ``op``) of
+        ``function``, which ``thread`` runs.
+
+        Poll points are fixed instruction counts (``instruction_count``
+        a multiple of ``poll_interval``): the polled instruction is
+        counted but not yet charged, and ``frame.pc`` still names it.
+        The interpreter's poll branch and compiled blocks (at the offset
+        the poll falls on) both call this.  The opcode sampler and the
+        tier-up's hotness sampler ride the poll stride, so their cost
+        stays off the per-instruction path; the profiler samples after
+        ``on_quantum``, which flushed the batched charges, so the ledger
+        it reads is current.
+        """
+        if self.sampler is not None:
+            self.sampler.record(op, function.index, pc)
+        if self.jit is not None:
+            self.jit.observe(function, pc, op)
+        self.platform.on_quantum(self)
+        if self.profiler is not None:
+            self.profiler.poll(thread)
 
     # -- helpers for natives ----------------------------------------------------
 
@@ -411,10 +444,9 @@ def run(self, max_instructions: int | None = None) -> int:
     mem = platform.mem_access
     fetch = platform.fetch_access
     cost_of = OPCODE_COST_LIST
-    sampler = self.sampler
+    poll = self.poll
     profiler = self.profiler
-    jit = self.jit
-    jit_blocks = jit.blocks if jit is not None else None
+    jit_blocks = self.jit.blocks if self.jit is not None else None
     poll_interval = self.config.poll_interval
     quantum = self.config.thread_quantum
     switch_cost = self.config.context_switch_cost
@@ -438,7 +470,8 @@ def run(self, max_instructions: int | None = None) -> int:
     # modulo on every instruction.  Poll points stay exactly at
     # instruction_count % poll_interval == 0; the countdown is
     # resynced whenever a native mutates the counter (idle polls,
-    # naive-replay wait skipping).
+    # naive-replay wait skipping) and after a compiled block, which
+    # may have run polls of its own.
     until_poll = poll_interval - (icount % poll_interval)
 
     try:
@@ -476,51 +509,44 @@ def run(self, max_instructions: int | None = None) -> int:
                 fn_blocks = jit_blocks[function.index]
                 if fn_blocks is not None:
                     block = fn_blocks[pc]
-                    # Entry guards: the block must fit strictly before
-                    # the next poll, within the scheduling slice and
-                    # the instruction budget, and the operand stack
-                    # must cover its worst-case pops — so no poll,
-                    # context switch, budget stop, or stack underflow
-                    # can occur mid-block.  Anything else runs on the
-                    # reference interpreter path below.
-                    while block is not None:
-                        if block.n < until_poll \
-                                and block.n <= slice_left \
-                                and len(frame.stack) >= block.min_stack \
-                                and (limit is None
-                                     or icount + block.n
-                                     - executed_at_entry <= limit):
-                            break
-                        # Late in the poll window the superblock no
-                        # longer fits; a shorter variant might.
-                        block = block.fallback
-                    if block is not None:
+                    # Entry guards: the block must fit within the
+                    # scheduling slice and the instruction budget, and
+                    # the operand stack must cover its worst-case pops,
+                    # so no context switch, budget stop or stack
+                    # underflow can occur mid-block.  A poll can: the
+                    # block runs it at its exact instruction, offset
+                    # ``until_poll - 1`` of the call.  Anything else
+                    # runs on the reference interpreter path below.
+                    if block is not None and block.n <= slice_left \
+                            and len(frame.stack) >= block.min_stack \
+                            and (limit is None
+                                 or icount + block.n
+                                 - executed_at_entry <= limit):
                         self.instruction_count = icount
                         thrown = None
                         try:
                             if block.loops:
                                 # Self-loop blocks iterate in-function;
                                 # the budget is how many whole blocks
-                                # fit before the next poll/slice/limit
-                                # boundary (>= 1 by the entry guards).
-                                avail = until_poll - 1
-                                if slice_left < avail:
-                                    avail = slice_left
+                                # fit in the slice and the limit (>= 1
+                                # by the entry guards).
+                                avail = slice_left
                                 if limit is not None:
                                     rem = (limit - icount
                                            + executed_at_entry)
                                     if rem < avail:
                                         avail = rem
                                 block.run(self, thread, frame,
-                                          avail // block.n)
+                                          until_poll - 1, avail // block.n)
                             else:
-                                block.run(self, thread, frame)
+                                block.run(self, thread, frame,
+                                          until_poll - 1)
                         except GuestThrow as exc:
                             thrown = exc.code
                         done = self.instruction_count - icount
                         icount = self.instruction_count
                         slice_left -= done
-                        until_poll -= done
+                        until_poll = poll_interval - (icount % poll_interval)
                         # On a side exit, profile before the unwind
                         # rewrites the stack the block ran on.
                         if profiler is not None:
@@ -541,25 +567,12 @@ def run(self, max_instructions: int | None = None) -> int:
             slice_left -= 1
             until_poll -= 1
             if until_poll == 0:
+                # The poll counts this instruction and runs before its
+                # charge; no poll touches the counter (on_quantum's
+                # contract), so only the publish is needed.
                 until_poll = poll_interval
-                # The opcode sampler piggybacks on the poll stride so
-                # its disabled cost stays off the per-instruction
-                # path; the tier-up's hotness sampler rides the same
-                # branch.
-                if sampler is not None:
-                    sampler.record(op, function.index, pc)
-                if jit is not None:
-                    jit.observe(function, pc, op)
                 self.instruction_count = icount
-                platform.on_quantum(self)
-                icount = self.instruction_count
-                # After on_quantum the batched charges are flushed,
-                # so the ledger the profiler reads here is current;
-                # frame.pc still names the instruction being polled.
-                if profiler is not None:
-                    profiler.poll(thread)
-                if self.halted:
-                    break
+                poll(thread, function, pc, op)
             charge(cost_of[op])
             frame.pc = pc + 1
 

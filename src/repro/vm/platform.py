@@ -132,7 +132,17 @@ class Platform(abc.ABC):
 
     @abc.abstractmethod
     def on_quantum(self, interpreter: "Interpreter") -> None:
-        """Periodic hook: interrupts, preemption, bus decay, input polling."""
+        """Periodic hook: interrupts, preemption, bus decay, input polling.
+
+        Called from :meth:`Interpreter.poll` every ``poll_interval``
+        instructions, by the interpreter or inside a compiled block,
+        with the polled instruction counted and not yet charged.  The
+        hook may touch only the platform and the machine.  It may not
+        touch the interpreter's instruction counter, its frames, their
+        operand stacks or ``halted``: a compiled block carries on after
+        the poll with its operand stack in locals and its counts of its
+        own.
+        """
 
     @abc.abstractmethod
     def native_call(self, index: int, interpreter: "Interpreter") -> None:

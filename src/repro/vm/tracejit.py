@@ -2,7 +2,7 @@
 
 The interpreter's dispatch loop costs tens of host operations per guest
 bytecode.  For hot code — detected by the opcode sampler that already
-piggybacks on the platform-poll branch — this module compiles
+piggybacks on the platform poll — this module compiles
 straight-line bytecode regions into fused Python closures
 ("superinstructions"): one generated function executes the whole region
 and pre-sums its per-instruction cycle costs.  Each instruction's code
@@ -11,26 +11,40 @@ interpreter renders its dispatch ladder from, so the two tiers share
 one statement of every opcode's semantics.  On a batched platform the
 block inlines the platform's templates (:meth:`Platform.mem_inline`):
 each memory access, and the block's charge, in closed form unless a
-noise redraw falls inside the block.  Otherwise the block calls
-:meth:`Platform.charge_block` once per execution instead of charging
-once per instruction.
+noise redraw or a poll falls inside the block.  Otherwise the block
+calls :meth:`Platform.charge_block` once per execution instead of
+charging once per instruction.
 
 Time determinism is the design constraint, not an afterthought:
 
-* **Entry guards.**  A block runs only when it provably cannot cross an
-  observable boundary: the whole region must fit before the next
-  platform poll (``block.n < until_poll``), within the scheduling slice
-  (``block.n <= slice_left``), within an instruction budget, and the
-  operand stack must be deep enough for the region's worst-case pops.
-  Anything else falls back to the reference interpreter for that entry.
+* **Entry guards.**  A block runs only when it provably cannot cross a
+  slice or budget boundary: the whole region must fit within the
+  scheduling slice (``block.n <= slice_left``) and the instruction
+  budget, and the operand stack must be deep enough for the region's
+  worst-case pops.  Anything else falls back to the reference
+  interpreter for that entry.
+
+* **Polls run in place.**  The caller passes the offset of the
+  instruction the next platform poll counts, and the block checks it
+  before each instruction.  At that offset it brings the clock, the
+  accumulators and the instruction counts to what the interpreter holds
+  at the poll (the instructions before it charged, the polled one
+  counted), runs :meth:`Interpreter.poll`, and carries on with its
+  registerized stack and translated lines; its exits then add only
+  what the poll did not.  The hook touches only the platform and the
+  machine (:meth:`Platform.on_quantum`), and a translation stays valid
+  across it: page-table entries are never removed, set dicts never
+  rebound, and an IRQ's cache pollution leaves no writeback pending
+  (DESIGN §4.3).
 
 * **Exact charge replay.**  With no noise redraw inside the block, the
   inline charge steps only the fractional carry per instruction and
   scales the pre-summed total once; otherwise ``charge_block`` splits
   the stream at each redraw into runs charged the same way, with the
-  redraws at the same points of the same stream.  Both are rendered
-  from one closed-form template, so cycles are bit-identical either way
-  (DESIGN §4.3).
+  redraws at the same points of the same stream.  A pass with a poll in
+  it charges the instructions before the poll, and then the rest,
+  through ``charge_block``.  Both are rendered from one closed-form
+  template, so cycles are bit-identical either way (DESIGN §4.3).
 
 * **Lines translated once per call.**  Page-table entries are never
   removed and L1 set dicts never rebound, so an access to a static line
@@ -38,15 +52,19 @@ Time determinism is the design constraint, not an afterthought:
   makes only the TLB and L1 LRU moves and their miss sides, on the
   first translation's locals; self-loop iterations after the first
   included.  An access to the line the previous access on its path
-  touched renders nothing: its LRU moves are no-ops (DESIGN §4.3).
+  touched renders nothing: its LRU moves are no-ops (DESIGN §4.3),
+  unless a poll ran between the two, which may have evicted the line:
+  after a poll in the pass it runs the update half on the previous
+  access's translation.
 
-* **Counters added once per exit.**  Nothing reads the TLB and L1 hit
-  counts, the L1 hit latency, the instruction counts or the block's
-  own counters before the block returns, so each exit adds them once.
-  The hits are the path's static access count, times the iterations
-  run in a self-loop, less the misses counted on the miss sides.
-  Accesses the Oracle-JIT model may registerize count their hits
-  inline.
+* **Counters added once per exit.**  Before the block returns, nothing
+  reads the TLB and L1 hit counts or the block's own counters, and only
+  an in-block poll reads the instruction counts and the L1 hit latency
+  (through the clock), so each exit adds them once, less what a poll in
+  the call added.  The hits are the path's static access count, times
+  the iterations run in a self-loop, less the misses counted on the
+  miss sides.  Accesses the Oracle-JIT model may registerize count
+  their hits inline.
 
 * **Side exits.**  Every fault-capable instruction records its offset
   before executing; on a guest throw the generated code charges the
@@ -106,6 +124,11 @@ def _static(expr: str) -> int:
     return eval(expr, {"GLOBALS_BASE": GLOBALS_BASE})  # noqa: S307
 
 
+#: The locals an access translates into when its line gets none of its
+#: own: page number, physical address, L1 set dict and tag.
+_PLAIN = ("_avp", "_apa", "_awy", "_atg")
+
+
 def _indent(lines: list[str]) -> list[str]:
     return ["    " + line for line in lines]
 
@@ -121,7 +144,7 @@ class CompiledBlock:
     """One compiled straight-line region and its tier-up counters."""
 
     __slots__ = ("function_index", "function_name", "head", "n",
-                 "min_stack", "loops", "run", "fallback", "entries",
+                 "min_stack", "loops", "run", "entries",
                  "side_exits", "instructions", "cycles")
 
     def __init__(self, function_index: int, function_name: str,
@@ -133,7 +156,6 @@ class CompiledBlock:
         self.min_stack = min_stack  # operand-stack depth required at entry
         self.loops = False          # self-loop block (takes a budget arg)
         self.run = None             # generated closure, bound after exec
-        self.fallback = None        # shorter variant for tight budgets
         self.entries = 0            # completed full-block executions
         self.side_exits = 0         # guest throws that fell back mid-block
         self.instructions = 0       # guest instructions retired in here
@@ -141,8 +163,7 @@ class CompiledBlock:
 
 
 def compile_region(function: "Function", head: int, platform: "Platform",
-                   max_len: int = 64,
-                   extend_guards: bool = True) -> CompiledBlock | None:
+                   max_len: int = 64) -> CompiledBlock | None:
     """Compile the region starting at ``head``, or None if not worth it.
 
     The expensive part — region scan, codegen, ``compile()`` — is a pure
@@ -159,7 +180,7 @@ def compile_region(function: "Function", head: int, platform: "Platform",
     # the source (page and line geometry, set counts, accumulator slots,
     # registerized windows), making the cache key self-validating
     # across configs.
-    key = (head, max_len, extend_guards,
+    key = (head, max_len,
            None if base_list is None else tuple(base_list),
            None if inline is None else inline.signature)
     cache = getattr(function, "_tracejit_cache", None)
@@ -169,8 +190,7 @@ def compile_region(function: "Function", head: int, platform: "Platform",
     if key in cache:
         art = cache[key]
     else:
-        art = _build_region(function, head, platform, max_len,
-                            extend_guards)
+        art = _build_region(function, head, platform, max_len)
         cache[key] = art
     if art is None:
         return None
@@ -185,13 +205,69 @@ def compile_region(function: "Function", head: int, platform: "Platform",
     ns["_charge_block"] = platform.charge_block
     if inline is not None:
         ns.update(inline.namespace)
+    exec(_poll_code(inline), ns)  # noqa: S102 - from fixed templates
     exec(art["code"], ns)  # noqa: S102 - generated from a fixed template
     block.run = ns["_block"]
     return block
 
 
+#: The in-block poll helpers' code, by the signature of the templates
+#: they are rendered from (None for blocks that call ``_mem``).
+_POLL_CODE: dict = {}
+
+
+def _poll_code(inline):
+    """The in-block poll helpers, compiled once per template signature
+    and defined in each block's namespace, whose constants they read
+    (DESIGN §4.3).
+
+    ``_poll(vm, thread, frame, _k, _c0[, _c, _mt, _mc], _j=0)`` runs the
+    poll at offset ``_k`` of a pass that ``_j`` whole self-loop
+    iterations precede, in the interpreter's order: the instruction at
+    ``_k`` counted, not yet charged.  It charges the pass from ``_c0``
+    (0, or the offset of the pass's previous poll) up to ``_k``, adds
+    the hits of the pass's first ``_c`` summed accesses less the misses
+    counted, publishes the instruction counts around the poll and sets
+    ``frame.pc`` for the profiler.  It returns the next poll's offset,
+    the new charge start and miss counts from which the exits' sums add
+    only the rest.
+
+    ``_touch(_avp, _apa, _awy, _atg, _mt, _mc)`` runs the update half
+    of an access that repeats the previous access's line, on that
+    access's translation, and returns the miss counts after it: a block
+    calls it for such an access after a poll in the pass.
+    """
+    key = None if inline is None else inline.signature
+    if key in _POLL_CODE:
+        return _POLL_CODE[key]
+    counts = inline is not None
+    params = "_k, _c0, _c, _mt, _mc, _j=0" if counts else "_k, _c0, _j=0"
+    lines = ([f"def _poll(vm, thread, frame, {params}):",
+              "    if _k > _c0:",
+              "        _charge_block(_CLS[_c0:_k], _BAS[_c0:_k])"]
+             + (_indent(["_c += _PER * _j", *inline.hits("_c")])
+                if counts else [])
+             + _indent(["_d = _N * _j + _k + 1",
+                        "vm.instruction_count += _d",
+                        "thread.executed += _d",
+                        "function = frame.function",
+                        "pc = frame.pc = _HEAD + _k",
+                        "vm.poll(thread, function, pc, function.ops[pc])",
+                        "vm.instruction_count -= _d",
+                        "thread.executed -= _d",
+                        "return _k + vm.config.poll_interval, _k"
+                        + (", _c, _c" if counts else "")]))
+    if counts:
+        lines += ([f"def _touch({', '.join(_PLAIN)}, _mt, _mc):"]
+                  + _indent([*inline.update(_PLAIN, first=False),
+                             "return _mt, _mc"]))
+    code = _POLL_CODE[key] = compile("\n".join(lines), "<tracejit poll>",
+                                     "exec")
+    return code
+
+
 def _build_region(function: "Function", head: int, platform: "Platform",
-                  max_len: int, extend_guards: bool) -> dict | None:
+                  max_len: int) -> dict | None:
     """Scan, analyse and compile one region to a cacheable artifact.
 
     The region extends until (and including) the first branch, until the
@@ -203,10 +279,18 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     known statically, so stack slots become single-assignment Python
     locals and ``frame.stack`` is only touched at block entry (popping
     the worst-case depth) and at the exits.  This is invisible to the
-    guest: nothing can observe ``frame.stack`` mid-block (no polls, GC,
-    natives, or checkpoints inside a block), and on a guest throw the
-    exception dispatch either clears the frame's stack or discards the
-    frame, so the mid-block stack contents were never live.
+    guest: nothing can observe ``frame.stack`` mid-block (no GC,
+    natives or checkpoints run inside a block, and an in-block poll
+    reads no operand stack), and on a guest throw the exception
+    dispatch either clears the frame's stack or discards the frame, so
+    the mid-block stack contents were never live.
+
+    Every instruction starts with the check for an in-block poll: the
+    caller passes ``_p``, the offset within the call of the instruction
+    the next poll counts, and at that offset the block runs ``_poll``
+    (see :func:`_poll_code`) before the instruction's own work.  A pass
+    with a poll in it charges the rest from the poll's offset ``_c0``
+    through ``charge_block``.
     """
     ops = function.ops
     args = function.args
@@ -226,11 +310,18 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         if row.host:
             break
         picked.append(pc)
-        if row.kind == "target" and (row.branch is None or not extend_guards
-                                     or args[pc] <= pc):
+        if row.kind == "target" and (row.branch is None or args[pc] <= pc):
             terminator_pc = pc
             break
         pc += 1
+    # A region cut at ``max_len`` in mid-line stops at its last inner
+    # head instead, where another block starts: the interpreter would
+    # otherwise run the rest of the line up to the next head.
+    if pc == head + max_len < length and not ROWS[ops[pc]].host:
+        heads = function.region_heads()
+        inner = [h for h in heads if head + _MIN_BLOCK <= h < pc]
+        if inner and pc not in heads:
+            del picked[inner[-1] - head:]
     n = len(picked)
     if n < _MIN_BLOCK:
         return None
@@ -250,8 +341,10 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     # registers are rebound register-to-register on the back edge, so
     # the hot path pays no stack traffic and no dispatch per iteration.
     # The caller passes the iteration budget ``_r`` (how many whole
-    # blocks fit before the next poll/slice/limit boundary), and every
-    # iteration charges exactly like a separate entry would.
+    # blocks fit in the slice and the instruction limit), and every
+    # iteration charges exactly like a separate entry would; ``_p``
+    # moves back by ``n`` on the back edge, so it stays an offset into
+    # the current iteration.
     loops = (terminator_pc is not None and args[terminator_pc] == head
              and depth == 0)
 
@@ -279,7 +372,7 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         "_GT": GuestThrow,
         "_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos,
         "_CLS": classes, "_BAS": bases, "_TOT": total,
-        "_PFX": prefix,
+        "_PFX": prefix, "_N": n, "_HEAD": head,
     }
 
     # Platforms may provide source templates for the memory path and the
@@ -331,6 +424,7 @@ def _build_region(function: "Function", head: int, platform: "Platform",
                                         if loops or c > 1)}
     # The accesses of a self-loop iteration whose hits the exits sum.
     per_iteration = sum(map(summed, keys))
+    consts["_PER"] = per_iteration
 
     body: list[str] = []
     #: Compile-time model of the operand stack: entry slots ``_e*`` then
@@ -343,11 +437,12 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     counts = False      # some access counts misses in _mt/_mc
     cond_value: str | None = None
     last_key = None     # line key of the previous access on the path
+    last_names = _PLAIN  # the locals that access translated into
     counted = 0         # accesses on the path whose hits an exit sums
     translated = set()  # captured lines translated on the path
 
     def access(expr, key, call="_mem") -> list[str]:
-        nonlocal last_key, counted, counts
+        nonlocal last_key, last_names, counted, counts
         if inline is None:
             return [f"{call}({expr})"]
         previous, last_key = last_key, key
@@ -356,10 +451,15 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         counted += 1
         counts = True
         if key is not None and key == previous:
-            return []       # the LRU moves of a repeat are no-ops
+            # The LRU moves of a repeat are no-ops, unless a poll ran
+            # since the previous access.  After a poll in the pass they
+            # run: the moves are no-ops too if the poll came first.
+            return [f"if _c0: _mt, _mc = "
+                    f"_touch({', '.join(last_names)}, _mt, _mc)"]
         names = captured.get(key)
+        last_names = names or _PLAIN
         if names is None:
-            return inline.translate(str(expr)) + inline.update()
+            return inline.translate(str(expr), _PLAIN) + inline.update(_PLAIN)
         if key in translated:
             return inline.update(names, first=False)
         translated.add(key)
@@ -411,10 +511,30 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         """Lines adding the hits of ``accesses`` summed accesses."""
         return [] if accesses in ("0", 0) else inline.hits(str(accesses))
 
+    def poll_check(k: int) -> str:
+        """The in-block poll at offset ``k``, before the instruction's
+        own work, with the accesses the path summed before it."""
+        call = f"vm, thread, frame, {k}, _c0"
+        taken = "_p, _c0"
+        if inline is not None:
+            call += f", {counted}, _mt, _mc"
+            taken += ", _mt, _mc"
+        if loops:
+            call += ", _R - _r"
+        return f"if _p == {k}: {taken} = _poll({call})"
+
+    def prefix_charge(classes: str, bases: str, total) -> str:
+        """The charge of the pass prefix ``classes`` (base costs
+        ``bases``, summing to ``total``), from the offset of an in-block
+        poll when one ran in the pass."""
+        return (f"_charge_block({classes}[_c0:], {bases}[_c0:]) if _c0"
+                f" else _charge_block({classes}, {bases}, {total})")
+
     for k, pc in enumerate(picked):
         op = ops[pc]
         row = ROWS[op]
         arg = args[pc]
+        body.append(poll_check(k))
         if pc == terminator_pc:
             if row.branch:
                 cond_value = row.branch.format(v=vstack.pop())
@@ -434,7 +554,8 @@ def _build_region(function: "Function", head: int, platform: "Platform",
             body.append("if _tk:")
             fetch, fetched = exit_fetch(code_window + arg * 4)
             body += _indent(_pushback(vstack)
-                            + [f"_charge_block(_GC{k}, _GB{k}, {pfx_total})",
+                            + [prefix_charge(f"_GC{k}", f"_GB{k}",
+                                             pfx_total),
                                f"frame.pc = {arg}"] + fetch
                             + leave(k + 1, pfx_total, counted + fetched,
                                     "side_exits") + ["return"])
@@ -488,10 +609,13 @@ def _build_region(function: "Function", head: int, platform: "Platform",
 
     # The block charge runs inline in closed form unless a noise redraw
     # falls inside the block; side exits charge their prefix through
-    # ``charge_block``.
+    # ``charge_block``, and so does a pass after an in-block poll, from
+    # the poll's offset (a self-loop's next pass starts from 0 again).
     charge = "_charge_block(_CLS, _BAS, _TOT)"
-    charge_lines = ([charge] if inline is None
-                    else inline.charge(bases, charge))
+    charge_lines = (["if _c0:", "    _charge_block(_CLS[_c0:], _BAS[_c0:])"]
+                    + (["    _c0 = 0"] if loops else []) + ["else:"]
+                    + _indent([charge] if inline is None
+                              else inline.charge(bases, charge)))
     pushback = _pushback(vstack)
 
     entry_names = [f"_e{i}" for i in range(need)]
@@ -510,7 +634,8 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         target = args[terminator_pc]
         passed = counted
         taken = (access(code_window + target * 4, back_key, "_fetch")
-                 + ["_r -= 1", "if _r > 0:"] + _indent(rebind + ["continue"])
+                 + ["_r -= 1", "if _r > 0:"]
+                 + _indent([f"_p -= {n}"] + rebind + ["continue"])
                  + leave(0, 0, 0, None) + [f"frame.pc = {target}"])
         if cond_value is not None:
             site_pc = function.index * CODE_STRIDE + terminator_pc
@@ -558,8 +683,7 @@ def _build_region(function: "Function", head: int, platform: "Platform",
         prologue.append("_hget = vm.heap.get")
     if loops:
         prologue.append("_R = _r")
-    if counts:
-        prologue.append("_mt = _mc = 0")
+    prologue.append("_c0 = 0" if inline is None else "_c0 = _mt = _mc = 0")
 
     # A self-loop body iterates in-function and writes the stack back
     # once it leaves; a throw anywhere leaves through the side exit.
@@ -567,11 +691,11 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     if has_faults:
         main = (["_i = 0", "try:"] + _indent(main) + ["except _GT:"]
                 + _indent(["_xc, _xb, _xt, _xa = _PFX[_i]", "_n = _i + 1",
-                           "_charge_block(_xc, _xb, _xt)",
+                           prefix_charge("_xc", "_xb", "_xt"),
                            *leave("_n", "_xt", "_xa" if counts else 0,
                                   "side_exits"),
                            f"frame.pc = {head} + _n", "raise"]))
-    params = "vm, thread, frame, _r" if loops else "vm, thread, frame"
+    params = "vm, thread, frame, _p" + (", _r" if loops else "")
     source = "\n".join([f"def _block({params}):"] + _indent(
         prologue + main + (pushback if loops else epilogue)))
     code = compile(source, f"<tracejit {function.name}+{head}>", "exec")
@@ -597,7 +721,7 @@ class TraceJit:
         self.hot_samples = max(1, getattr(config, "jit_hot_samples", 4))
         self.max_block = max(_MIN_BLOCK, getattr(config, "jit_max_block", 64))
         #: The tier-up's own site sampler (independent of observability's,
-        #: which may be absent; fed from the same poll branch).
+        #: which may be absent; fed from the same poll).
         self.sampler = OpcodeSampler(stride=config.poll_interval)
         #: function index -> (pc -> CompiledBlock | None) | None.  The
         #: outer list's identity is stable: the interpreter aliases it
@@ -609,7 +733,7 @@ class TraceJit:
         self.compiled_regions = 0
 
     def observe(self, function: "Function", pc: int, op: int) -> None:
-        """One poll-branch sample; tiers the function up when it gets hot.
+        """One poll sample; tiers the function up when it gets hot.
 
         Sampling is deterministic (poll points are fixed instruction
         counts), so compilation triggers at identical points across runs.
@@ -630,15 +754,6 @@ class TraceJit:
             block = compile_region(function, head, self.platform,
                                    self.max_block)
             if block is not None:
-                # A short (single-basic-block) variant rides along as the
-                # fallback for entries late in a poll window, where the
-                # full superblock no longer fits before the boundary.
-                if block.n > _MIN_BLOCK:
-                    short = compile_region(function, head, self.platform,
-                                           self.max_block,
-                                           extend_guards=False)
-                    if short is not None and short.n < block.n:
-                        block.fallback = short
                 fn_blocks[head] = block
                 compiled += 1
         if compiled:
@@ -649,37 +764,17 @@ class TraceJit:
     # -- reporting ----------------------------------------------------------
 
     def region_stats(self) -> list[dict]:
-        """Per-region tier-up stats, busiest first (deterministic order).
-
-        A region's numbers merge its whole fallback chain: entries late
-        in a poll window run the short variant, and those counters used
-        to be dropped here — making ``summary()`` undercount exactly the
-        tail-of-window executions.
-        """
-        regions = []
-        for fn_blocks in self.blocks:
-            if fn_blocks is None:
-                continue
-            for head_block in fn_blocks:
-                if head_block is None:
-                    continue
-                entries = side_exits = instructions = cycles = 0
-                block = head_block
-                while block is not None:
-                    entries += block.entries
-                    side_exits += block.side_exits
-                    instructions += block.instructions
-                    cycles += block.cycles
-                    block = block.fallback
-                regions.append({
-                    "function": head_block.function_name,
-                    "head_pc": head_block.head,
-                    "length": head_block.n,
-                    "entries": entries,
-                    "side_exits": side_exits,
-                    "instructions": instructions,
-                    "cycles": cycles,
-                })
+        """Per-region tier-up stats (one block per region), busiest
+        first (deterministic order)."""
+        regions = [{"function": block.function_name,
+                    "head_pc": block.head,
+                    "length": block.n,
+                    "entries": block.entries,
+                    "side_exits": block.side_exits,
+                    "instructions": block.instructions,
+                    "cycles": block.cycles}
+                   for fn_blocks in self.blocks if fn_blocks is not None
+                   for block in fn_blocks if block is not None]
         regions.sort(key=lambda r: (-r["instructions"], r["function"],
                                     r["head_pc"]))
         return regions

@@ -227,6 +227,16 @@ class TestMachineConfig:
         with pytest.raises(HardwareConfigError):
             MachineConfig(poll_stride_cycles=0)
 
+    @pytest.mark.parametrize("field", ("thread_quantum", "vm_poll_interval"))
+    @pytest.mark.parametrize("value", (0, -1, -5))
+    def test_scheduling_counts_below_one_rejected(self, field, value):
+        """A quantum below 1 runs no instruction per slice (``play``
+        would loop forever), an interval of 0 divides by zero and a
+        negative one never polls; only construction is tried here."""
+        with pytest.raises(HardwareConfigError):
+            MachineConfig(**{field: value})
+        assert getattr(MachineConfig(**{field: 1}), field) == 1
+
     def test_storage_kinds(self):
         assert MachineConfig(storage=StorageKind.HDD).storage == \
             StorageKind.HDD

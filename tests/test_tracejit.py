@@ -13,6 +13,7 @@ available behind ``REPRO_NO_JIT=1`` as the differential reference
 from __future__ import annotations
 
 import ast
+import collections
 import sys
 from dataclasses import replace
 
@@ -20,21 +21,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.parallel import MachineSpec, run_fleet
-from repro.apps import (build_kernel_program, build_nfs_program,
-                        build_nfs_workload, compile_app)
+from repro.apps import (SCIMARK_KERNELS, build_kernel_program,
+                        build_nfs_program, build_nfs_workload, compile_app)
 from repro.core.resilience import audit_resilient
 from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
 from repro.faults import standard_fault_kinds
+from repro.hw.cache import CacheHierarchy
 from repro.hw.cpu import CostClass, CpuModel
+from repro.hw.interrupts import IrqSource
 from repro.machine import MachineConfig, NoiseScenario, scenario_config
 from repro.machine.config import RuntimeKind
 from repro.machine.machine import Machine
 from repro.machine.platform import _ACC_INSTR, TimedCorePlatform
 from repro.obs import Observability
 from repro.vm import tracejit
-from repro.vm.heap import HEAP_BASE
-from repro.vm.interpreter import VmConfig
+from repro.vm.heap import HEAP_BASE, GuestThrow
+from repro.vm.interpreter import Interpreter, VmConfig
 from repro.vm.isa import ROWS, STACK_BASE
 from repro.vm.tracejit import (_MIN_BLOCK, _build_region, _static,
                                compile_region,
@@ -358,11 +361,11 @@ class TestUnits:
             {(0, 17), (1, 4)}
         assert sampler.hot_sites(1) == [(0, 17, 3)]
 
-    def test_sampler_sites_round_trip_through_fallback_window(self):
-        """Regression: a window whose final entries ran through the
-        tier-up's short-variant fallback chain must serialize and reload
-        exactly.  The hot loop's sampler keeps recording through those
-        tail-of-window entries, so its export carries their sites; the
+    def test_sampler_sites_round_trip_through_in_block_polls(
+            self, monkeypatch):
+        """Regression: a window whose polls ran inside compiled blocks
+        must serialize and reload exactly.  The hot loop's sampler keeps
+        recording at those polls, so its export carries their sites; the
         reload used to be impossible (no loader) and the histogram used
         a different unknown-opcode spelling (``op#N``) than ``sites``
         (``OP_N``), so the two halves of one export could not be parsed
@@ -372,22 +375,15 @@ class TestUnits:
         from repro.apps import compile_app
         from repro.machine.machine import Machine
         from repro.obs.sampling import OpcodeSampler
-        from repro.vm.interpreter import Interpreter
 
         program = compile_app(RAZOR_SRC)
         machine = Machine(MachineConfig(), seed=0, mode="play")
         vm = Interpreter(program, machine.platform, machine.vm_config())
+        seen = _count_in_block_polls(monkeypatch)
         vm.run(200_000_000)
         machine.platform.flush_charges()
         assert vm.jit is not None
-        # The run really drove the fallback chain: some entries ran a
-        # short variant hanging off a superblock.
-        fallback_entries = sum(
-            block.fallback.entries
-            for fn_blocks in vm.jit.blocks if fn_blocks is not None
-            for block in fn_blocks
-            if block is not None and block.fallback is not None)
-        assert fallback_entries > 0
+        assert seen["in_block"] > 0     # polls ran inside blocks
 
         export = vm.jit.sampler.export()
         assert export["sites"]
@@ -418,39 +414,32 @@ class TestUnits:
                 {"stride": 64, "histogram": {"NOT_AN_OP": 1},
                  "sites": []})
 
-    def test_region_stats_merge_fallback_chain(self):
-        """Regression: ``region_stats()`` (and so ``summary()``) used to
-        iterate only the superblocks, silently dropping every counter
-        the short-variant fallbacks accumulated on tail-of-window
-        entries.  The per-region rows must equal a raw walk over the
-        whole chain."""
+    def test_region_stats_match_a_raw_walk_over_the_blocks(
+            self, monkeypatch):
+        """Regression: ``region_stats()`` (and so ``summary()``) once
+        dropped the counters of entries late in a poll window.  Those
+        entries now run the polls inside the blocks; the per-region rows
+        must equal a raw walk over every block."""
         from repro.apps import build_kernel_program
         from repro.machine.machine import Machine
-        from repro.vm.interpreter import Interpreter
 
         program = build_kernel_program("sor")
         machine = Machine(MachineConfig(), seed=0, mode="play")
         vm = Interpreter(program, machine.platform, machine.vm_config())
+        seen = _count_in_block_polls(monkeypatch)
         vm.run(200_000_000)
         machine.platform.flush_charges()
 
         raw = {"entries": 0, "side_exits": 0, "instructions": 0,
                "cycles": 0}
-        fallback_entries = 0
         for fn_blocks in vm.jit.blocks:
-            if fn_blocks is None:
-                continue
-            for head_block in fn_blocks:
-                block = head_block
-                while block is not None:
+            for block in fn_blocks or ():
+                if block is not None:
                     raw["entries"] += block.entries
                     raw["side_exits"] += block.side_exits
                     raw["instructions"] += block.instructions
                     raw["cycles"] += block.cycles
-                    if block is not head_block:
-                        fallback_entries += block.entries
-                    block = block.fallback
-        assert fallback_entries > 0        # the bug had something to drop
+        assert seen["in_block"] > 0     # polls ran inside blocks
         summary = vm.jit.summary()
         assert summary["entries"] == raw["entries"]
         assert summary["side_exits"] == raw["side_exits"]
@@ -555,6 +544,7 @@ ELISION_CONFIGS = {
     "l1-line-32": _l1_line(32),
     "l1-line-128": _l1_line(128),
     "l1-line-1024": _l1_line(1024),
+    "poll-7": MachineConfig(vm_poll_interval=7),
 }
 
 
@@ -637,6 +627,176 @@ def test_elision_boundaries_match_reference(nfs_program, monkeypatch,
     assert _elision_facts(_elision_runs(nfs_program, config)) == facts
 
 
+#: Configs whose polls change the machine, with the IRQ sources they
+#: patch in (None keeps the standard ones): an IRQ or a preemption taken
+#: on the timed core charges the clock and pollutes the caches at a poll
+#: (IRQs every few thousand cycles, so some evict a line between two
+#: accesses of a block pass; preemptions short, so idle waits stay cheap
+#: to simulate); a 1-entry TLB and a direct-mapped 512-byte L1 evict,
+#: after a poll, lines a block call translated before it; and the
+#: Oracle-JIT model registerizes frame slots.
+POLL_CONFIGS = {
+    "irqs-on-timed-core": (MachineConfig(irqs_to_supporting_core=False),
+                           [IrqSource("dense", 3_000.0, 50, cache_lines=4)]),
+    "preemption": (MachineConfig(preemption_enabled=True,
+                                 preempt_mean_interval_cycles=300_000.0,
+                                 preempt_mean_duration_cycles=1_000.0),
+                   None),
+    "tlb-1": (ELISION_CONFIGS["tlb-1"], None),
+    "l1-direct-512": (ELISION_CONFIGS["l1-direct-512"], None),
+    "oracle-jit": (ELISION_CONFIGS["oracle-jit"], None),
+}
+
+#: Poll intervals that land polls at every offset of compiled code.
+POLL_INTERVALS = (1, 2, 7, 31, 256)
+
+
+@pytest.fixture(scope="module")
+def poll_programs(nfs_program):
+    """The razor program, shortened (its self-loop throws after polls
+    in the same call), one NFS request (``process_chunk``'s self-loop)
+    and a small SOR kernel."""
+    razor = compile_app(RAZOR_SRC.replace("20000", "800")
+                        .replace("5000", "500"))
+    return [(razor, None), (nfs_program, 1),
+            (build_kernel_program("sor", n=8, iterations=2), None)]
+
+
+def _poll_runs(programs, config, irqs):
+    """Each program's facts: cycles, instructions, tx, per-source
+    ledger, stats, console, log bytes, the TLB, cache, predictor and bus
+    state at the end, and the instruction count and clock after every
+    interpreter poll (with the IRQ sources ``irqs``, if not None)."""
+    facts = []
+    readings: list = []
+    poll = Interpreter.poll
+
+    def reading(self, *args):
+        poll(self, *args)
+        readings.append((self.instruction_count, self.platform.clock.cycles))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Interpreter, "poll", reading)
+        if irqs is not None:
+            patch.setattr("repro.machine.machine.standard_sources",
+                          lambda: list(irqs))
+        for program, requests in programs:
+            workload = (None if requests is None else
+                        build_nfs_workload(SplitMix64(7042),
+                                           num_requests=requests))
+            machine = Machine(config, seed=3, mode="play",
+                              workload=workload, covert_enabled=True,
+                              obs=Observability())
+            result = machine.run(program)
+            facts.append((result.total_cycles, result.instructions,
+                          result.tx, result.ledger, result.stats,
+                          result.console, result.log.to_bytes(),
+                          machine.tlb.state_fingerprint(),
+                          machine.hierarchy.state_fingerprint(),
+                          machine.predictor.state_fingerprint(),
+                          machine.bus.traffic_level.hex(),
+                          machine.bus.total_stall_cycles, readings[:]))
+            readings.clear()
+    return facts
+
+
+def _count_in_block_polls(patch) -> collections.Counter:
+    """Count the polls compiled blocks run: inside a self-loop iteration
+    after the first, with a noise redraw in the pass before the poll or
+    after it, taking an IRQ or a preemption that pollutes the caches,
+    and the block calls that throw after one."""
+    seen: collections.Counter = collections.Counter()
+    poll = Interpreter.poll
+    pollute = CacheHierarchy.pollute
+
+    def counted(self, thread, function, pc, op):
+        caller = sys._getframe(1)
+        while caller.f_code.co_filename == __file__:    # other wrappers
+            caller = caller.f_back
+        if caller.f_code.co_name != "_poll":
+            return poll(self, thread, function, pc, op)
+        k, start, j = (caller.f_locals[name] for name in ("_k", "_c0", "_j"))
+        cpu = self.platform.cpu
+        left = cpu._until_redraw
+        seen["in_block"] += 1
+        seen["in_later_iteration"] += j > 0
+        # The pass is charged up to k: a redraw in it leaves the
+        # countdown that many steps below its restart value.
+        seen["redraw_before"] += \
+            cpu.config.speculation_period + 1 - left <= k - start
+        seen["redraw_after"] += left <= caller.f_globals["_N"] - k
+        seen["in_poll"] = 1
+        try:
+            poll(self, thread, function, pc, op)
+        finally:
+            seen["in_poll"] = 0
+
+    def polluting(self, *args):
+        seen["polluting"] += seen["in_poll"]
+        return pollute(self, *args)
+
+    compile_block = tracejit.compile_region
+
+    def compiling(*args, **kwargs):
+        block = compile_block(*args, **kwargs)
+        if block is not None:
+            run = block.run
+
+            def running(*call):
+                before = seen["in_block"]
+                try:
+                    return run(*call)
+                except GuestThrow:
+                    seen["throw_after_poll"] += seen["in_block"] > before
+                    raise
+
+            block.run = running
+        return block
+
+    patch.setattr(Interpreter, "poll", counted)
+    patch.setattr(CacheHierarchy, "pollute", polluting)
+    patch.setattr(tracejit, "compile_region", compiling)
+    return seen
+
+
+@pytest.fixture(scope="module", params=[
+    (name, interval) for name in sorted(POLL_CONFIGS)
+    for interval in POLL_INTERVALS], ids=lambda cell: f"{cell[0]}-{cell[1]}")
+def poll_placement(request, poll_programs):
+    """A config and poll interval, and the facts of runs in which
+    compiled blocks run the polls that fall inside them."""
+    name, interval = request.param
+    config, irqs = POLL_CONFIGS[name]
+    config = replace(config, vm_poll_interval=interval)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_NO_JIT", raising=False)
+        patch.delenv("REPRO_NO_BATCH", raising=False)
+        seen = _count_in_block_polls(patch)
+        facts = _poll_runs(poll_programs, config, irqs)
+    # Polls really ran inside blocks, inside self-loop iterations, on
+    # both sides of noise redraws and before guest throws; with IRQs or
+    # preemptions on the timed core, some took one.
+    assert seen["in_block"] > 0 and seen["in_later_iteration"] > 0, seen
+    assert seen["redraw_before"] > 0 and seen["redraw_after"] > 0, seen
+    assert seen["throw_after_poll"] > 0, seen
+    if name == "irqs-on-timed-core" or (name == "preemption"
+                                        and interval <= 7):
+        assert seen["polluting"] > 0, seen
+    return config, irqs, facts
+
+
+@pytest.mark.parametrize("knob", ("REPRO_NO_JIT", "REPRO_NO_BATCH"))
+def test_in_block_polls_match_reference(poll_programs, monkeypatch,
+                                        poll_placement, knob):
+    """Blocks that run the platform poll at its exact instruction against
+    the pure interpreter (``REPRO_NO_JIT``) and the unbatched reference
+    (``REPRO_NO_BATCH``), with polls at every offset of compiled code on
+    configs whose polls change the machine."""
+    config, irqs, facts = poll_placement
+    monkeypatch.setenv(knob, "1")
+    assert _poll_runs(poll_programs, config, irqs) == facts
+
+
 class TestWorkCounts:
     """Deterministic work-count gates on the 5-request NFS round trip
     and on the batched charges."""
@@ -647,9 +807,11 @@ class TestWorkCounts:
 
     def test_block_charges_mostly_inline(self, nfs_program, monkeypatch):
         """A compiled block calls ``charge_block`` only when a noise
-        redraw falls inside it or it leaves early; otherwise its charge
-        runs inline in closed form."""
-        calls = 0
+        redraw or a poll falls inside it or it leaves early; otherwise
+        its charge runs inline in closed form.  An in-block poll costs
+        at most two calls: the pass up to the poll, and the rest at the
+        exit or the next poll."""
+        calls = collections.Counter()
         install = TimedCorePlatform._install_batched_paths
 
         def counted(self):
@@ -657,18 +819,37 @@ class TestWorkCounts:
             charge_block = self.charge_block
 
             def counting(*args):
-                nonlocal calls
-                calls += 1
+                caller = sys._getframe(1)
+                calls["poll" if caller.f_code.co_name == "_poll"
+                      or caller.f_locals.get("_c0") else "other"] += 1
                 return charge_block(*args)
 
             self.charge_block = counting
 
         monkeypatch.setattr(TimedCorePlatform, "_install_batched_paths",
                             counted)
+        seen = _count_in_block_polls(monkeypatch)
         trip = _round_trip(nfs_program)
         entries = trip.play.jit["entries"] + trip.replay.jit["entries"]
-        assert entries > 0
-        assert calls <= 0.4 * entries
+        assert entries > 0 and seen["in_block"] > 0
+        assert calls["other"] <= 0.4 * entries
+        assert calls["poll"] <= 2 * seen["in_block"]
+
+    def test_blocks_retire_most_kernel_instructions(self):
+        """Over warm second plays of the five default-size SciMark
+        kernels, compiled blocks retire at least 95% of the instructions
+        in total and at least 90% of each kernel's: a poll inside a
+        region no longer sends its pass to the interpreter."""
+        retired = {}
+        for name in SCIMARK_KERNELS:
+            program = build_kernel_program(name)
+            play(program, MachineConfig(), seed=3)
+            result = play(program, MachineConfig(), seed=3)
+            retired[name] = (result.jit["jit_instructions"],
+                             result.instructions)
+        blocks, total = map(sum, zip(*retired.values()))
+        assert blocks >= 0.95 * total, retired
+        assert all(j >= 0.9 * i for j, i in retired.values()), retired
 
     @pytest.mark.parametrize("path", ("charge_block", "charge"))
     def test_charges_call_only_the_noise_redraw(self, path):
@@ -710,7 +891,7 @@ class TestWorkCounts:
         up the frame line's page once, however many iterations it runs."""
         platform = Machine(MachineConfig(), seed=3, mode="play").platform
         art = _build_region(nfs_program.function("process_chunk"), 18,
-                            platform, 64, True)
+                            platform, 64)
         assert art["loops"]
         loop = next(node for node in ast.walk(ast.parse(art["source"]))
                     if isinstance(node, ast.While))

@@ -672,6 +672,13 @@ class TestVmMachinery:
         vm.run()
         assert platform.quantum_calls > 100
 
+    @pytest.mark.parametrize("field", ("thread_quantum", "poll_interval"))
+    @pytest.mark.parametrize("value", (0, -1, -5))
+    def test_scheduling_counts_below_one_rejected(self, field, value):
+        with pytest.raises(VMLoadError):
+            VmConfig(**{field: value})
+        assert getattr(VmConfig(**{field: 1}), field) == 1
+
     def test_implicit_return_at_code_end(self):
         _, vm = run_program(".func main 0 0\n    nop")
         assert vm.live_threads == 0
