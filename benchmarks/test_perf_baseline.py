@@ -12,10 +12,7 @@ wall-clock effect of each perf knob on a Fig 8-style VM-trace slice —
 
 Results land in ``BENCH_perf.json`` (override the path with
 ``BENCH_PERF_OUT``) so CI can archive the numbers per commit and
-regressions show up as a diffable artifact.  Set ``BENCH_STORE=<dir>``
-to also record the run in the persistent run store, where
-``reproduce bench-gate`` compares fresh numbers against the history
-median.  ``PERF_SMOKE=1`` shrinks
+regressions show up as a diffable artifact.  ``PERF_SMOKE=1`` shrinks
 the workload for CI smoke runs.
 
 No wall-clock assertions — host speed varies; the assertions here are the
@@ -212,21 +209,6 @@ def test_perf_baseline():
 
     out = Path(os.environ.get("BENCH_PERF_OUT", "BENCH_perf.json"))
     out.write_text(json.dumps(report, indent=2) + "\n")
-
-    store_root = os.environ.get("BENCH_STORE")
-    if store_root:
-        from repro.obs.runstore import RunRecord, RunStore
-
-        store = RunStore(store_root)
-        run_id = store.save(RunRecord(
-            kind="bench",
-            label=f"{report['machine_run']['batched']['instr_per_sec']:,}"
-                  " instr/s",
-            figures={"perf": {"instr_per_sec":
-                              report["machine_run"]["batched"]
-                                    ["instr_per_sec"],
-                              "report": report}}))
-        print(f"  recorded {run_id} in {store.root}")
 
     print_banner("Perf baseline — simulator throughput and knob matrix")
     mr = report["machine_run"]

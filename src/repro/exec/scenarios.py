@@ -37,6 +37,7 @@ from repro.errors import ExecError, ReplayError
 from repro.exec.executive import Executive
 from repro.machine.config import MachineConfig
 from repro.machine.machine import ExecutionResult, Machine
+from repro.obs import Observability
 
 #: Covert rounds per scenario run (= relayed packets).
 ROUNDS = 48
@@ -300,38 +301,20 @@ def exec_replay(scenario: ExecScenario, log,
     return _run(scenario, machine, max_instructions, quantum)
 
 
-def exec_fleet_task(task: tuple) -> dict:
-    """Fleet worker: one executive round trip from a picklable task.
+def exec_fleet_task(task: tuple) -> tuple:
+    """Fleet worker: one observed executive round trip from a picklable
+    task.
 
     ``task`` is ``(scenario_name, covert, play_seed, replay_seed,
-    quantum)``; the returned summary is a plain dict so it crosses a
-    process pool, and it carries every observable the determinism checks
-    compare — a fleet run at any ``--jobs`` must reproduce the serial
-    summaries bit for bit.
+    quantum)``.  Returns the play and replay fingerprints and the
+    :class:`~repro.core.audit.AuditReport`, all picklable, so a fleet
+    run at any ``--jobs`` must reproduce the serial returns bit for bit.
     """
-    import hashlib
-
     name, covert, play_seed, replay_seed, quantum = task
-    scenario = exec_scenario(name)
-    tdr = exec_round_trip(scenario, play_seed=play_seed,
+    tdr = exec_round_trip(exec_scenario(name), play_seed=play_seed,
                           replay_seed=replay_seed, covert=covert,
-                          quantum=quantum)
-    return {
-        "scenario": name,
-        "covert": covert,
-        "play_cycles": tdr.play.total_cycles,
-        "replay_cycles": tdr.replay.total_cycles,
-        "instructions": tdr.play.instructions,
-        "tx": list(tdr.play.tx),
-        "console": list(tdr.play.console),
-        "switches": tdr.play.stats["exec_switches"],
-        "messages": tdr.play.stats["exec_messages"],
-        "deviation_ms": tdr.audit.deviation_score(),
-        "consistent": tdr.audit.is_consistent(),
-        "payloads_match": tdr.audit.payloads_match,
-        "log_sha256": hashlib.sha256(
-            tdr.play.log.to_bytes()).hexdigest(),
-    }
+                          quantum=quantum, obs=Observability())
+    return tdr.play.fingerprint(), tdr.replay.fingerprint(), tdr.audit
 
 
 def exec_round_trip(scenario: ExecScenario,

@@ -132,6 +132,16 @@ class MachineConfig:
             raise HardwareConfigError(
                 f"co-tenant intensity out of range: "
                 f"{self.co_tenant_intensity}")
+        # Each preemption is scheduled from the previous one's start and
+        # advances the clock by its duration: a mean duration at or above
+        # the mean interval leaves a backlog that grows at every poll.
+        if not (0.0 <= self.preempt_mean_duration_cycles
+                < self.preempt_mean_interval_cycles):
+            raise HardwareConfigError(
+                f"preemption has no steady state: mean duration "
+                f"{self.preempt_mean_duration_cycles} must be at least 0 "
+                f"and below the mean interval "
+                f"{self.preempt_mean_interval_cycles}")
 
     @property
     def cost_table(self) -> dict:

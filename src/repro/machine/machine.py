@@ -11,8 +11,9 @@ hardware; with the same seed it is the simulator's determinism check.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.log import EventLog
 from repro.core.session import (NaiveReplaySession, PlaySession,
@@ -99,6 +100,29 @@ class ExecutionResult:
         """Inter-packet delays of the transmitted trace, in ms."""
         times = self.tx_times_ms()
         return [b - a for a, b in zip(times, times[1:])]
+
+    def fingerprint(self) -> dict:
+        """The run's observable output, as a JSON-able dict.
+
+        Runs with equal fingerprints cannot be told apart downstream:
+        this is what the bit-identity contract (DESIGN §4) holds equal
+        under every implementation knob.  It has every field, with
+        ``tx`` payloads as hex and the log as the sha256 of its wire
+        bytes, except two:
+
+        * ``jit`` is the tier-up's own summary, None under
+          ``REPRO_NO_JIT``;
+        * ``profile`` is compared on its own, because compiled blocks
+          add boundary samples: its ``samples`` and ``stacks`` move
+          under ``REPRO_NO_JIT``, its ``sources`` and ``total_cycles``
+          do not.
+        """
+        facts = {f.name: getattr(self, f.name) for f in fields(self)
+                 if f.name not in ("jit", "profile")}
+        facts["tx"] = [[cycle, payload.hex()] for cycle, payload in self.tx]
+        facts["log"] = (None if self.log is None else
+                        hashlib.sha256(self.log.to_bytes()).hexdigest())
+        return facts
 
 
 class Machine:

@@ -33,9 +33,10 @@ payload the run store and the fleet dashboard page render.
 
 Everything here observes and never perturbs: the tracer reads virtual
 timestamps handed to it by the fleet event loop and touches no clock,
-RNG, or simulated state — tracing on/off is bit-identical in verdicts,
-and the exports are bit-identical across reruns and ``--jobs`` settings
-because every record is made from the deterministic coordinator loop.
+RNG, or simulated state, so nothing it records feeds back into a
+verdict, and the exports are bit-identical across reruns and ``--jobs``
+settings because every record is made from the deterministic
+coordinator loop.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ from repro.faults.plans import NodeChaosPlan
 from repro.machine.config import MachineConfig
 from repro.obs.dist import FLEET_TRACK, DistTracer
 from repro.obs.metrics import MetricsRegistry, get_registry, labeled
-from repro.obs.tracer import SpanTracer
 from repro.service.daemon import play_and_ship
 from repro.service.failure import FailureDetector
 from repro.service.ingest import IngestGate
@@ -164,8 +163,7 @@ class FleetService:
                  chaos: NodeChaosPlan | None = None,
                  epoch_interval_ms: float = 400.0,
                  segment_interval_ms: float = 40.0,
-                 registry: MetricsRegistry | None = None,
-                 trace: bool = True) -> None:
+                 registry: MetricsRegistry | None = None) -> None:
         if epochs < 1:
             raise ServiceError(f"need >= 1 epoch, got {epochs}")
         ids = [spec.tenant_id for spec in tenants]
@@ -187,15 +185,10 @@ class FleetService:
             for spec in tenants}
 
         self.clock = SimClock()
-        #: Rebalance spans and chaos instants, on the virtual clock
-        #: (the tracer's time source is in nanoseconds).
-        self.tracer = SpanTracer(
-            time_fn=lambda: self.clock.now_ms * 1e6)
         #: The fleet-wide session trace: per-node span tracks, latency
-        #: series, chaos markers.  Purely observational — disabling it
-        #: (``trace=False``) is bit-identical in every verdict.
-        self.dist: DistTracer | None = (DistTracer(seed=seed)
-                                        if trace else None)
+        #: series, chaos markers and rebalances.  Purely observational:
+        #: nothing it records feeds back into a verdict.
+        self.dist = DistTracer(seed=seed)
         self.gate = IngestGate(self.specs, registry=self.registry)
         #: One idempotent verdict history for the whole fleet.
         self.sink = VerdictSink(registry=self.registry, dedupe=True)
@@ -230,11 +223,10 @@ class FleetService:
             scheduler.wires = self.wires
             self.nodes.append(FleetNode(index, node_id, scheduler))
         self.node_by_id = {node.node_id: node for node in self.nodes}
-        if self.dist is not None:
-            # Register tracks up front so tid order is roster order, not
-            # first-span order.
-            for node_id in node_ids:
-                self.dist.register_track(node_id)
+        # Register tracks up front so tid order is roster order, not
+        # first-span order.
+        for node_id in node_ids:
+            self.dist.register_track(node_id)
 
         #: Exactly-once redelivery guard, by job identity.
         self._requeued: set[tuple] = set()
@@ -308,14 +300,13 @@ class FleetService:
 
     def _handle_segment(self, segment) -> None:
         record = self.gate.admit(segment)
-        if self.dist is not None:
-            self.dist.session_start(segment.tenant_id, segment.epoch,
-                                    segment.arrival_ms)
-            self.dist.instant(
-                f"ingest:{record.status.value}", FLEET_TRACK,
-                segment.arrival_ms, category="ingest",
-                tenant=segment.tenant_id, epoch=segment.epoch,
-                seq=segment.seq)
+        self.dist.session_start(segment.tenant_id, segment.epoch,
+                                segment.arrival_ms)
+        self.dist.instant(
+            f"ingest:{record.status.value}", FLEET_TRACK,
+            segment.arrival_ms, category="ingest",
+            tenant=segment.tenant_id, epoch=segment.epoch,
+            seq=segment.seq)
         owner_id = self.ring.assign(segment.tenant_id)
         if owner_id is None:
             # Total capacity loss: remember the session so the report
@@ -334,10 +325,8 @@ class FleetService:
             return
         if fault.kind == "crash":
             node.crashed_at = now
-            self.tracer.instant(f"crash:{node.node_id}", category="chaos")
-            if self.dist is not None:
-                self.dist.instant(f"crash:{node.node_id}", node.node_id,
-                                  now, category="chaos")
+            self.dist.instant(f"crash:{node.node_id}", node.node_id, now,
+                              category="chaos")
             self._count(labeled("fleet_node_crashes_total",
                                 node=node.node_id),
                         "Node crash faults applied")
@@ -347,12 +336,9 @@ class FleetService:
         elif fault.kind == "stall":
             node.stall_until = max(node.stall_until,
                                    now + fault.duration_ms)
-            self.tracer.instant(f"stall:{node.node_id}", category="chaos",
-                                duration_ms=fault.duration_ms)
-            if self.dist is not None:
-                self.dist.instant(f"stall:{node.node_id}", node.node_id,
-                                  now, category="chaos",
-                                  duration_ms=fault.duration_ms)
+            self.dist.instant(f"stall:{node.node_id}", node.node_id, now,
+                              category="chaos",
+                              duration_ms=fault.duration_ms)
             detect_at = self.detector.detection_ms(node.node_id, now)
             if detect_at < node.stall_until:
                 # The silence outlives the grace period: suspicion will
@@ -363,12 +349,8 @@ class FleetService:
         elif fault.kind == "slow":
             node.slow_factor = max(node.slow_factor, fault.factor)
             node.scheduler.time_factor = node.slow_factor
-            self.tracer.instant(f"slow:{node.node_id}", category="chaos",
-                                factor=fault.factor)
-            if self.dist is not None:
-                self.dist.instant(f"slow:{node.node_id}", node.node_id,
-                                  now, category="chaos",
-                                  factor=fault.factor)
+            self.dist.instant(f"slow:{node.node_id}", node.node_id, now,
+                              category="chaos", factor=fault.factor)
         else:
             raise ServiceError(f"unknown node fault kind '{fault.kind}'")
 
@@ -385,10 +367,8 @@ class FleetService:
             # ownership stays (it may come back); the steal pass
             # relieves its queue in the meantime.
             self.detector.suspect(node_id, now)
-            self.tracer.instant(f"suspect:{node_id}", category="detector")
-            if self.dist is not None:
-                self.dist.instant(f"suspect:{node_id}", node_id, now,
-                                  category="detector")
+            self.dist.instant(f"suspect:{node_id}", node_id, now,
+                              category="detector")
         # Otherwise the node resumed before the timeout — a blip the
         # detector never saw.
 
@@ -403,16 +383,12 @@ class FleetService:
             # Back from the dead: clear suspicion, but remember the
             # strike — the next silence gets a longer grace period.
             self.detector.resume(node_id, self.clock.now_ms)
-            self.tracer.instant(f"resume:{node_id}", category="detector")
-            if self.dist is not None:
-                self.dist.instant(f"resume:{node_id}", node_id,
-                                  self.clock.now_ms, category="detector")
+            self.dist.instant(f"resume:{node_id}", node_id,
+                              self.clock.now_ms, category="detector")
 
     # -- rebalance (the at-least-once redelivery path) ---------------------
 
     def _rebalance(self, node: FleetNode, now: float, reason: str) -> None:
-        self.tracer.begin(f"rebalance:{node.node_id}", category="fleet",
-                          reason=reason)
         before = self.ring.assignment(self.tenant_ids)
         self.ring.remove_node(node.node_id)
         after = self.ring.assignment(self.tenant_ids)
@@ -425,16 +401,14 @@ class FleetService:
         orphans = node.scheduler.queue.drain()
         orphans += [job for _, job in sorted(node.in_flight.items())]
         killed = len(node.in_flight)
-        if self.dist is not None:
-            self.dist.instant(f"rebalance:{node.node_id}", FLEET_TRACK,
-                              now, category="fleet", reason=reason,
-                              requeued=len(orphans))
-            # Close the spans that died with the node, at its crash
-            # instant; their redelivery re-parents onto these.
-            died_at = node.crashed_at if node.crashed_at is not None \
-                else now
-            for _, job in sorted(node.in_flight.items()):
-                self.dist.job_killed(job, node.node_id, died_at)
+        self.dist.instant(f"rebalance:{node.node_id}", FLEET_TRACK, now,
+                          category="fleet", reason=reason,
+                          requeued=len(orphans))
+        # Close the spans that died with the node, at its crash instant;
+        # their redelivery re-parents onto these.
+        died_at = node.crashed_at if node.crashed_at is not None else now
+        for _, job in sorted(node.in_flight.items()):
+            self.dist.job_killed(job, node.node_id, died_at)
         node.in_flight.clear()
         requeued = 0
         for job in orphans:
@@ -468,8 +442,6 @@ class FleetService:
             moved_tenants=moved, requeued=requeued,
             killed_in_flight=killed))
         self._maybe_degrade()
-        self.tracer.end(f"rebalance:{node.node_id}", moved=len(moved),
-                        requeued=requeued)
 
     def _maybe_degrade(self) -> None:
         alive = len(self.ring)
@@ -482,12 +454,9 @@ class FleetService:
             self.degraded_mode = True
             for peer in self.nodes:
                 peer.scheduler.spot_only = True
-            self.tracer.instant("degraded-mode", category="fleet",
-                                alive=alive)
-            if self.dist is not None:
-                self.dist.instant("degraded-mode", FLEET_TRACK,
-                                  self.clock.now_ms, category="fleet",
-                                  alive=alive)
+            self.dist.instant("degraded-mode", FLEET_TRACK,
+                              self.clock.now_ms, category="fleet",
+                              alive=alive)
             self._count("fleet_degraded_mode_entered_total",
                         "Times the fleet shed to spot-check-only mode")
 
@@ -522,9 +491,7 @@ class FleetService:
                 thief = thieves[index % len(thieves)]
                 job.ready_ms = max(job.ready_ms, now)
                 thief.scheduler.queue.push(job, force=True)
-                if self.dist is not None:
-                    self.dist.steal_hop(job, victim.node_id,
-                                        thief.node_id, now)
+                self.dist.steal_hop(job, victim.node_id, thief.node_id, now)
                 self.steals += 1
                 self._count(labeled("fleet_steals_total",
                                     node=thief.node_id),
@@ -537,7 +504,7 @@ class FleetService:
         now = self.clock.now_ms
         work: list[tuple[FleetNode, AuditJob]] = []
         for node in self.nodes:
-            if self.dist is not None and not node.evicted:
+            if not node.evicted:
                 self.dist.sample_queue_depth(node.node_id, now,
                                              len(node.scheduler.queue))
             if not node.can_dispatch(now):
@@ -552,8 +519,7 @@ class FleetService:
         for (node, job), p in zip(work, prepared):
             _, completion = node.scheduler.price(job, p, now_ms=now)
             node.in_flight[job.session_key] = job
-            if self.dist is not None:
-                self.dist.job_dispatched(job, node.node_id)
+            self.dist.job_dispatched(job, node.node_id)
             self.clock.schedule(completion, "completion", (node, job, p))
         return True
 
@@ -572,11 +538,10 @@ class FleetService:
             return
         node.in_flight.pop(job.session_key, None)
         event = node.scheduler.complete(job, prepared, self.gate)
-        if self.dist is not None:
-            if event is not None:
-                self.dist.job_completed(job, node.node_id, event)
-            else:
-                self.dist.job_deduped(job, node.node_id)
+        if event is not None:
+            self.dist.job_completed(job, node.node_id, event)
+        else:
+            self.dist.job_deduped(job, node.node_id)
 
     # -- reporting ---------------------------------------------------------
 
@@ -596,24 +561,19 @@ class FleetService:
                 reason = "audit-shed"
             unaudited.append(UnauditedRecord(tenant_id=tid, epoch=epoch,
                                              reason=reason))
-        fleet_obs: dict = {}
-        trace_ndjson = ""
-        if self.dist is not None:
-            last_verdict: dict[tuple, float] = {}
-            for event in self.sink.events:
-                key = (event.tenant_id, event.epoch)
-                last_verdict[key] = max(last_verdict.get(key, 0.0),
-                                        event.completion_ms)
-            for tid, epoch in sorted(self._sessions):
-                end = last_verdict.get((tid, epoch))
-                if end is not None:
-                    self.dist.session_close(tid, epoch, end, "ok")
-                else:
-                    self.dist.session_close(tid, epoch, horizon,
-                                            "unaudited")
-            fleet_obs = self.dist.summary()
-            fleet_obs["horizon_ms"] = round(horizon, 3)
-            trace_ndjson = self.dist.to_ndjson()
+        last_verdict: dict[tuple, float] = {}
+        for event in self.sink.events:
+            key = (event.tenant_id, event.epoch)
+            last_verdict[key] = max(last_verdict.get(key, 0.0),
+                                    event.completion_ms)
+        for tid, epoch in sorted(self._sessions):
+            end = last_verdict.get((tid, epoch))
+            if end is not None:
+                self.dist.session_close(tid, epoch, end, "ok")
+            else:
+                self.dist.session_close(tid, epoch, horizon, "unaudited")
+        fleet_obs = self.dist.summary()
+        fleet_obs["horizon_ms"] = round(horizon, 3)
         node_stats = {}
         for node in self.nodes:
             scheduler = node.scheduler
@@ -650,7 +610,7 @@ class FleetService:
             metrics=(self.registry.snapshot()
                      if self.registry.enabled else {}),
             fleet_obs=fleet_obs,
-            trace_ndjson=trace_ndjson)
+            trace_ndjson=self.dist.to_ndjson())
 
     def _count(self, name: str, help_text: str, by: int = 1) -> None:
         if self.registry.enabled and by:
@@ -681,9 +641,9 @@ class FleetReport:
     sessions_total: int
     metrics: dict = field(default_factory=dict)
     #: :meth:`~repro.obs.dist.DistTracer.summary` payload (latency
-    #: stats, heatmap, markers).  Observational only — deliberately NOT
-    #: part of :meth:`verdicts_dict`, which the determinism tests
-    #: byte-compare with tracing on vs off.
+    #: stats, heatmap, markers).  Observational, so not part of
+    #: :meth:`verdicts_dict`; the trace it summarises is compared on its
+    #: own (``FleetService.dist``'s Chrome export).
     fleet_obs: dict = field(default_factory=dict)
     #: Structured span/instant event log, one JSON object per line.
     trace_ndjson: str = ""

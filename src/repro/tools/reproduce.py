@@ -19,7 +19,6 @@ Usage::
     python -m repro.tools.reproduce profile --run latest --folded out.txt
     python -m repro.tools.reproduce runs list
     python -m repro.tools.reproduce report --latest 2 --out tdr-report.html
-    python -m repro.tools.reproduce bench-gate --advisory
 
 Each experiment is a quick, parameterizable version of the corresponding
 bench in ``benchmarks/`` (the benches add shape assertions and fixed
@@ -27,8 +26,7 @@ parameters; this tool is for exploration).  With ``--store [DIR]`` the
 store-aware experiments (``fig6``, ``trace``, ``chaos``, ``fleet``,
 ``serve``, ``audit``, ``exec``) persist their full evidence — ledgers, metrics,
 traces, verdicts — to a :class:`~repro.obs.runstore.RunStore`; the
-``runs`` / ``report`` / ``bench-gate`` subcommands list, re-render, and
-gate on those artifacts.
+``runs`` / ``report`` subcommands list and re-render those artifacts.
 
 Exit codes are part of the contract: every experiment returns a status,
 and the process exits with the strongest status any selected experiment
@@ -52,9 +50,7 @@ code  meaning
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -139,14 +135,16 @@ def output_path(text: str) -> str:
     return text
 
 
-def _store(args):
-    """The :class:`RunStore` selected by ``--store``, or ``None``."""
+def _store(args, required: bool = False):
+    """The :class:`RunStore` selected by ``--store``; ``None`` without the
+    flag unless ``required`` (the subcommands that read a store open the
+    default root then)."""
     root = getattr(args, "store", None)
-    if root is None:
+    if root is None and not required:
         return None
-    from repro.obs.runstore import RunStore, default_store_root
+    from repro.obs.runstore import RunStore
 
-    return RunStore(root or default_store_root())
+    return RunStore(root or None)
 
 
 def _print_phase_report(registry) -> None:
@@ -543,9 +541,8 @@ def run_fleet_exp(args) -> None:
     parallel, fleet_obs = run_fleet_observed(specs, jobs=jobs)
     parallel_s = time.time() - started
 
-    identical = all(
-        a.total_cycles == b.total_cycles and a.tx == b.tx
-        for a, b in zip(serial, parallel))
+    identical = ([r.fingerprint() for r in serial]
+                 == [r.fingerprint() for r in parallel])
     ledger_identical = (serial_obs.ledger_totals()
                         == fleet_obs.ledger_totals())
     metrics_identical = (serial_obs.registry.snapshot()
@@ -870,9 +867,9 @@ def run_exec(args) -> int:
         one(covert_of, covert=True)
 
     if args.jobs and args.jobs > 1:
-        # Satellite of the determinism contract: the same task set run
-        # through the process pool at --jobs N must reproduce the serial
-        # summaries (cycles, tx, log digests) bit for bit.
+        # The determinism contract: the same task set run through the
+        # process pool at --jobs N must reproduce the serial fingerprints
+        # and audit reports bit for bit.
         from repro.analysis.parallel import run_fleet
 
         tasks = [(name, covert, seed, seed + 100, None)
@@ -954,12 +951,6 @@ EXPERIMENTS = {
 }
 
 
-def _open_store(root: str | None):
-    from repro.obs.runstore import RunStore
-
-    return RunStore(root) if root else RunStore()
-
-
 def cmd_runs(argv: list[str]) -> int:
     """``reproduce runs [list|show|prune]`` — browse the run store."""
     parser = argparse.ArgumentParser(
@@ -977,7 +968,7 @@ def cmd_runs(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     from repro.errors import ObservabilityError
 
-    store = _open_store(args.store)
+    store = _store(args, required=True)
     try:
         if args.action == "list":
             runs = store.list_runs()
@@ -1034,7 +1025,7 @@ def cmd_report(argv: list[str]) -> int:
     from repro.errors import ObservabilityError
     from repro.obs.report import render_html, render_text
 
-    store = _open_store(args.store)
+    store = _store(args, required=True)
     try:
         refs = list(args.refs)
         if args.latest:
@@ -1060,81 +1051,6 @@ def cmd_report(argv: list[str]) -> int:
     Path(args.out).write_text(document, encoding="utf-8")
     print(f"wrote {args.out} ({len(document):,} bytes, "
           f"{len(pairs)} run(s))")
-    return 0
-
-
-def cmd_bench_gate(argv: list[str]) -> int:
-    """``reproduce bench-gate`` — fail on perf regressions vs history.
-
-    Compares a fresh ``BENCH_perf.json`` (the primary metric is
-    ``machine_run.batched.instr_per_sec``) against the median of the
-    ``bench`` runs already in the store, then records the fresh point.
-    With fewer than two history points the gate is always advisory.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro.tools.reproduce bench-gate",
-        description="Gate on BENCH_perf.json vs stored bench history.")
-    parser.add_argument("--perf", default="BENCH_perf.json",
-                        help="perf report to check "
-                             "(default BENCH_perf.json)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="run store root (default: REPRO_RUNSTORE "
-                             "or .repro-runs)")
-    parser.add_argument("--max-regression", type=float, default=15.0,
-                        metavar="PCT",
-                        help="largest tolerated instr/s drop vs the "
-                             "history median, percent (default 15)")
-    parser.add_argument("--advisory", action="store_true",
-                        help="report the verdict but never fail")
-    parser.add_argument("--no-record", action="store_true",
-                        help="do not add this measurement to history")
-    args = parser.parse_args(argv)
-    from repro.obs.runstore import RunRecord
-
-    perf_path = Path(args.perf)
-    if not perf_path.exists():
-        print(f"bench-gate: no perf report at {perf_path} "
-              f"(run benchmarks/test_perf_baseline.py first)",
-              file=sys.stderr)
-        return 2
-    perf = json.loads(perf_path.read_text())
-    try:
-        current = perf["machine_run"]["batched"]["instr_per_sec"]
-    except (KeyError, TypeError):
-        print(f"bench-gate: {perf_path} has no "
-              f"machine_run.batched.instr_per_sec (partial perf report — "
-              f"run benchmarks/test_perf_baseline.py)", file=sys.stderr)
-        return 2
-    store = _open_store(args.store)
-    history = [manifest["figures"]["perf"]["instr_per_sec"]
-               for manifest in store.list_runs(kind="bench")
-               if "perf" in manifest.get("figures", {})]
-    # Record after reading history, so a fresh point never gates itself.
-    if not args.no_record:
-        run_id = store.save(RunRecord(
-            kind="bench", label=f"{current:,} instr/s",
-            figures={"perf": {"instr_per_sec": current,
-                              "report": perf}}))
-        print(f"bench-gate: recorded {run_id} in {store.root}")
-    print(f"bench-gate: current {current:,} instr/s; "
-          f"{len(history)} history point(s)")
-    if len(history) < 2:
-        print("bench-gate: ADVISORY — gating starts once two history "
-              "points exist")
-        return 0
-    baseline = statistics.median(history)
-    drop = (baseline - current) / baseline * 100.0
-    print(f"bench-gate: history median {baseline:,.0f} instr/s; "
-          f"change {-drop:+.1f}%")
-    if drop > args.max_regression:
-        message = (f"bench-gate: REGRESSION {drop:.1f}% exceeds the "
-                   f"{args.max_regression:.1f}% budget")
-        if args.advisory:
-            print(message + " (advisory — not failing)")
-            return 0
-        print(message, file=sys.stderr)
-        return 1
-    print("bench-gate: PASS")
     return 0
 
 
@@ -1171,7 +1087,7 @@ def cmd_slo(argv: list[str]) -> int:
     except ObservabilityError as exc:
         print(f"slo: bad spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    store = _open_store(args.store)
+    store = _store(args, required=True)
     try:
         if args.run:
             run_id = store.resolve(args.run)
@@ -1255,7 +1171,7 @@ def cmd_profile(argv: list[str]) -> int:
     profiles: dict = {}
     jit_figures: dict = {}
     if args.run:
-        store = _open_store(args.store)
+        store = _store(args, required=True)
         try:
             if args.run == "latest":
                 with_profile = [m for m in store.list_runs()
@@ -1352,7 +1268,6 @@ def cmd_profile(argv: list[str]) -> int:
 SUBCOMMANDS = {
     "runs": cmd_runs,
     "report": cmd_report,
-    "bench-gate": cmd_bench_gate,
     "slo": cmd_slo,
     "profile": cmd_profile,
 }

@@ -49,10 +49,14 @@ from repro.vm.isa import (CODE_BASE, CODE_STRIDE,  # noqa: F401
                           THREAD_STACK_STRIDE, Op, render_wrap)
 from repro.vm.platform import Platform
 from repro.vm.program import Function, Program
+from repro.vm.tracejit import TraceJit, jit_enabled
 
 _WORD = 8
 
 MAX_CALL_DEPTH = 256
+
+#: Cost class charged for every thread switch.
+CONTEXT_SWITCH_COST = CostClass.SYNC
 
 
 @dataclass
@@ -61,14 +65,7 @@ class VmConfig:
 
     thread_quantum: int = 4096      # instructions per scheduling slice
     poll_interval: int = 256        # instructions between platform polls
-    context_switch_cost: CostClass = CostClass.SYNC
     heap: HeapConfig | None = None
-    #: Trace-compiling tier-up (:mod:`repro.vm.tracejit`).  ``None``
-    #: defers to the ``REPRO_NO_JIT`` environment knob; the compiled
-    #: path is bit-identical to the reference interpreter either way.
-    jit: bool | None = None
-    jit_hot_samples: int = 4        # poll samples before a function tiers up
-    jit_max_block: int = 64         # instructions per compiled region
 
     def __post_init__(self) -> None:
         # A quantum below 1 runs no instruction per slice, and polls
@@ -129,16 +126,12 @@ class Interpreter:
         #: :meth:`poll` and the run loop's compiled-block boundaries
         #: reconstruct the guest stack (both strided).
         self.profiler = None
-        #: Trace-compiling tier-up state (None = pure interpreter).
-        #: Strictly per-run: compiled blocks capture this run's platform
-        #: fast paths, and Program objects are shared across runs.
+        #: Trace-compiling tier-up state (None = pure interpreter, which
+        #: ``REPRO_NO_JIT=1`` selects; the compiled path is bit-identical
+        #: to it).  Strictly per-run: compiled blocks capture this run's
+        #: platform fast paths, and Program objects are shared across runs.
         self.jit = None
-        jit_on = self.config.jit
-        if jit_on is None:
-            from repro.vm.tracejit import jit_enabled
-            jit_on = jit_enabled()
-        if jit_on:
-            from repro.vm.tracejit import TraceJit
+        if jit_enabled():
             self.jit = TraceJit(program, self.platform, self.config)
         self.threads: list[ThreadState] = []
         self._next_thread_id = 0
@@ -449,7 +442,7 @@ def run(self, max_instructions: int | None = None) -> int:
     jit_blocks = self.jit.blocks if self.jit is not None else None
     poll_interval = self.config.poll_interval
     quantum = self.config.thread_quantum
-    switch_cost = self.config.context_switch_cost
+    switch_cost = CONTEXT_SWITCH_COST
     heap = self.heap
     globals_ = self.globals
     functions = self.program.functions

@@ -111,6 +111,12 @@ def jit_enabled() -> bool:
 #: the entry guards cost as much as the dispatch they replace.
 _MIN_BLOCK = 3
 
+#: Most instructions one compiled region covers.
+MAX_BLOCK = 64
+
+#: Poll samples in a function before it tiers up.
+HOT_SAMPLES = 4
+
 #: Each row's templates joined, to test which names the row uses.
 _TEXT = {op: " ".join((*row.push, *(c for c, _ in row.checks),
                        row.put or "", row.mem[1] if row.mem else ""))
@@ -162,8 +168,8 @@ class CompiledBlock:
         self.cycles = 0             # base (noise-free) cycles charged
 
 
-def compile_region(function: "Function", head: int, platform: "Platform",
-                   max_len: int = 64) -> CompiledBlock | None:
+def compile_region(function: "Function", head: int,
+                   platform: "Platform") -> CompiledBlock | None:
     """Compile the region starting at ``head``, or None if not worth it.
 
     The expensive part — region scan, codegen, ``compile()`` — is a pure
@@ -180,8 +186,7 @@ def compile_region(function: "Function", head: int, platform: "Platform",
     # the source (page and line geometry, set counts, accumulator slots,
     # registerized windows), making the cache key self-validating
     # across configs.
-    key = (head, max_len,
-           None if base_list is None else tuple(base_list),
+    key = (head, None if base_list is None else tuple(base_list),
            None if inline is None else inline.signature)
     cache = getattr(function, "_tracejit_cache", None)
     if cache is None:
@@ -190,7 +195,7 @@ def compile_region(function: "Function", head: int, platform: "Platform",
     if key in cache:
         art = cache[key]
     else:
-        art = _build_region(function, head, platform, max_len)
+        art = _build_region(function, head, platform)
         cache[key] = art
     if art is None:
         return None
@@ -266,13 +271,13 @@ def _poll_code(inline):
     return code
 
 
-def _build_region(function: "Function", head: int, platform: "Platform",
-                  max_len: int) -> dict | None:
+def _build_region(function: "Function", head: int,
+                  platform: "Platform") -> dict | None:
     """Scan, analyse and compile one region to a cacheable artifact.
 
     The region extends until (and including) the first branch, until the
     first opcode only the interpreter runs (excluded), or until
-    ``max_len``; regions shorter than ``_MIN_BLOCK`` are not worth the
+    :data:`MAX_BLOCK`; regions shorter than ``_MIN_BLOCK`` are not worth the
     entry guards.
 
     The operand stack is *registerized*: the region's stack effect is
@@ -300,12 +305,12 @@ def _build_region(function: "Function", head: int, platform: "Platform",
     # ``head`` extended *through* forward conditional branches (each
     # becomes an in-block guard with an early exit) until a GOTO, a
     # backward conditional (a loop back edge), an opcode only the
-    # interpreter runs (excluded) or ``max_len``.  Contiguity is what
+    # interpreter runs (excluded) or ``MAX_BLOCK``.  Contiguity is what
     # keeps the side-exit pc arithmetic (``head + offset + 1``) valid.
     picked: list[int] = []          # pcs included in the region
     terminator_pc: int | None = None
     pc = head
-    while pc < length and len(picked) < max_len:
+    while pc < length and len(picked) < MAX_BLOCK:
         row = ROWS[ops[pc]]
         if row.host:
             break
@@ -314,10 +319,10 @@ def _build_region(function: "Function", head: int, platform: "Platform",
             terminator_pc = pc
             break
         pc += 1
-    # A region cut at ``max_len`` in mid-line stops at its last inner
+    # A region cut at ``MAX_BLOCK`` in mid-line stops at its last inner
     # head instead, where another block starts: the interpreter would
     # otherwise run the rest of the line up to the next head.
-    if pc == head + max_len < length and not ROWS[ops[pc]].host:
+    if pc == head + MAX_BLOCK < length and not ROWS[ops[pc]].host:
         heads = function.region_heads()
         inner = [h for h in heads if head + _MIN_BLOCK <= h < pc]
         if inner and pc not in heads:
@@ -718,8 +723,6 @@ class TraceJit:
 
         self.program = program
         self.platform = platform
-        self.hot_samples = max(1, getattr(config, "jit_hot_samples", 4))
-        self.max_block = max(_MIN_BLOCK, getattr(config, "jit_max_block", 64))
         #: The tier-up's own site sampler (independent of observability's,
         #: which may be absent; fed from the same poll).
         self.sampler = OpcodeSampler(stride=config.poll_interval)
@@ -742,7 +745,7 @@ class TraceJit:
         idx = function.index
         count = self._func_samples[idx] + 1
         self._func_samples[idx] = count
-        if count >= self.hot_samples and not self._compiled[idx]:
+        if count >= HOT_SAMPLES and not self._compiled[idx]:
             self._compile_function(function)
 
     def _compile_function(self, function: "Function") -> None:
@@ -751,8 +754,7 @@ class TraceJit:
         fn_blocks: list = [None] * len(function.ops)
         compiled = 0
         for head in function.region_heads():
-            block = compile_region(function, head, self.platform,
-                                   self.max_block)
+            block = compile_region(function, head, self.platform)
             if block is not None:
                 fn_blocks[head] = block
                 compiled += 1

@@ -2,12 +2,12 @@
 
 The batched fast path accumulates integer cycle costs between poll/event
 boundaries and flushes them as one ``VirtualClock.advance`` per source.
-Integer addition is associative, so everything observable — total
-cycles, per-source ledger sums, transmission times, audit verdicts —
-must be bit-identical to the unbatched implementation, which stays
-available behind ``REPRO_NO_BATCH=1`` as the reference.  The same holds
+Integer addition is associative, so a run's fingerprint must be
+bit-identical to the unbatched implementation's, which stays available
+behind ``REPRO_NO_BATCH=1`` as the reference; ``test_equivalence.py``
+compares the pipeline scenarios and every noise preset.  The same holds
 for the idle polls a batched ``wait_packet`` applies in closed form
-(DESIGN §4.5), whose boundaries the tests below also pin directly.
+(DESIGN §4.5), whose boundaries the tests below pin directly.
 
 The batched side of every test here runs batched even when the suite
 runs under ``REPRO_NO_BATCH=1``; the reference side sets it itself.
@@ -26,7 +26,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import (build_kernel_program, build_nfs_program,
                         build_nfs_workload, compile_app)
-from repro.core.resilience import audit_resilient
 from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
 from repro.hw.cache import ReplacementPolicy
@@ -42,13 +41,6 @@ from repro.obs.ledger import Source
 
 REQUESTS = 5
 
-#: Every noise preset, plus a co-tenant (whose interference charges every
-#: ``service_world`` call, so idle polls cannot be skipped).
-PRESETS = ([pytest.param(scenario_config(s), id=s.value)
-            for s in NOISE_SCENARIOS]
-           + [pytest.param(MachineConfig(co_tenant_intensity=0.5),
-                           id="co-tenant")])
-
 
 @pytest.fixture(scope="module", autouse=True)
 def _batched_by_default():
@@ -62,43 +54,10 @@ def nfs_program():
     return build_nfs_program()
 
 
-def _round_trip(nfs_program, obs=None, schedule=None, config=None,
-                requests=REQUESTS):
-    workload = build_nfs_workload(SplitMix64(7042), num_requests=requests)
-    return round_trip(nfs_program, config or MachineConfig(),
-                      workload=workload, play_seed=3, replay_seed=9,
-                      covert_schedule=schedule, obs=obs)
-
-
-def _snapshot(result):
-    return (result.total_cycles, result.instructions, result.tx,
-            result.tx_times_ms(), result.ledger, result.stats)
-
-
-def test_batched_matches_unbatched_with_ledger(nfs_program, monkeypatch):
-    batched = _round_trip(nfs_program, obs=Observability())
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    unbatched = _round_trip(nfs_program, obs=Observability())
-
-    assert _snapshot(batched.play) == _snapshot(unbatched.play)
-    assert _snapshot(batched.replay) == _snapshot(unbatched.replay)
-    # The ledger's per-source sums survive batching exactly (only the
-    # number of charge *events* changes, never the cycles they carry).
-    assert batched.play.ledger == unbatched.play.ledger
-    assert batched.play.ledger is not None
-
-
-@pytest.mark.parametrize("config", PRESETS)
-def test_noise_presets_match_unbatched(nfs_program, monkeypatch, config):
-    """IRQs routed to the timed core, preemption, frequency noise and
-    background bus traffic all meet the idle fast-forward's horizon."""
-    batched = _round_trip(nfs_program, obs=Observability(), config=config,
-                          requests=4)
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    unbatched = _round_trip(nfs_program, obs=Observability(), config=config,
-                            requests=4)
-    assert _snapshot(batched.play) == _snapshot(unbatched.play)
-    assert _snapshot(batched.replay) == _snapshot(unbatched.replay)
+def _round_trip(nfs_program):
+    workload = build_nfs_workload(SplitMix64(7042), num_requests=REQUESTS)
+    return round_trip(nfs_program, MachineConfig(), workload=workload,
+                      play_seed=3, replay_seed=9)
 
 
 def test_idle_waits_skip_most_polls(nfs_program, monkeypatch):
@@ -164,12 +123,12 @@ def test_idle_fast_forward_matches_per_poll_loop(echo_program, stride,
         trip = round_trip(echo_program, config,
                           workload=ScriptedArrivals(list(schedule)),
                           play_seed=5, replay_seed=6, obs=Observability())
-        return _snapshot(trip.play), _snapshot(trip.replay)
+        return trip.play.fingerprint(), trip.replay.fingerprint()
 
     batched = run()
     with mock.patch.dict(os.environ, {"REPRO_NO_BATCH": "1"}):
         assert run() == batched
-    assert len(batched[0][2]) == len(arrivals)
+    assert len(batched[0]["tx"]) == len(arrivals)
 
 
 STRIDE = 1_000
@@ -308,12 +267,12 @@ def test_sc_irq_traffic_matches_per_poll_loop(dram_program, intervals,
                               workload=ScriptedArrivals(list(schedule)),
                               play_seed=5, replay_seed=6,
                               obs=Observability())
-        return _snapshot(trip.play), _snapshot(trip.replay)
+        return trip.play.fingerprint(), trip.replay.fingerprint()
 
     batched = run()
     with mock.patch.dict(os.environ, {"REPRO_NO_BATCH": "1"}):
         assert run() == batched
-    assert len(batched[0][2]) == len(arrivals)
+    assert len(batched[0]["tx"]) == len(arrivals)
 
 
 def _poll(platform, vm, stride=STRIDE) -> int:
@@ -415,39 +374,6 @@ def test_world_decays_to_the_background_floor(background):
     assert machine.bus.traffic_level == max(0.5 * 0.6, background)
     machine.quiet_world(40)
     assert machine.bus.traffic_level == background
-
-
-def test_batched_matches_unbatched_no_obs(nfs_program, monkeypatch):
-    batched = _round_trip(nfs_program)
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    unbatched = _round_trip(nfs_program)
-    assert _snapshot(batched.play) == _snapshot(unbatched.play)
-    assert _snapshot(batched.replay) == _snapshot(unbatched.replay)
-
-
-def test_covert_schedule_matches_unbatched(nfs_program, monkeypatch):
-    schedule = [1_500, 4_000, 2_500, 6_000]
-    batched = _round_trip(nfs_program, schedule=list(schedule))
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    unbatched = _round_trip(nfs_program, schedule=list(schedule))
-    assert _snapshot(batched.play) == _snapshot(unbatched.play)
-
-
-def test_audit_verdicts_match_unbatched(nfs_program, monkeypatch):
-    def verdicts():
-        trip = _round_trip(nfs_program)
-        report = trip.audit
-        outcome = audit_resilient(nfs_program, trip.play,
-                                  trip.play.log.to_bytes(),
-                                  config=MachineConfig(), replay_seed=9)
-        return (report.payloads_match, report.deviation_score(),
-                report.total_time_error, report.is_consistent(),
-                outcome.classification, outcome.consistent,
-                outcome.coverage)
-
-    batched = verdicts()
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    assert verdicts() == batched
 
 
 def test_no_batch_escape_hatch(monkeypatch):

@@ -1,10 +1,12 @@
 """Tests for the guest executive: scheduler, mailbox IPC, determinism.
 
 The non-negotiable invariant (DESIGN.md §5): a multi-process run is
-**bit-identical** in cycles, ledger sums, transmissions, and audit
-verdicts across replays, reruns, JIT/no-JIT, batched/unbatched charging,
-and profiler on/off — the schedule is a pure function of the execution,
-recorded as tamper-evident ``SCHED`` log entries.
+**bit-identical** in its fingerprint and audit across replays, reruns,
+JIT/no-JIT, batched/unbatched charging, and profiler on/off — the
+schedule is a pure function of the execution, recorded as
+tamper-evident ``SCHED`` log entries.  ``test_equivalence.py`` checks
+the three scenarios under those knobs; the tests here pin hostile
+quanta and the schedule's tamper evidence.
 """
 
 import dataclasses
@@ -15,19 +17,10 @@ from repro.channels import bit_accuracy
 from repro.core.log import EventKind, EventLog
 from repro.determinism import SplitMix64
 from repro.errors import ExecError, ReplayDivergenceError
-from repro.exec import (EXEC_SCENARIOS, Executive, KERNEL,
-                        THREADS_PER_PROCESS, exec_fleet_task, exec_play,
+from repro.exec import (Executive, THREADS_PER_PROCESS, exec_play,
                         exec_replay, exec_round_trip, exec_scenario)
 from repro.machine.machine import Machine
 from repro.machine.config import MachineConfig
-from repro.obs import Observability
-
-
-def signature(result):
-    """Every observable that must be bit-identical across variants."""
-    return (result.total_cycles, result.instructions, tuple(result.tx),
-            tuple(result.console),
-            tuple(sorted(result.ledger.items())) if result.ledger else None)
 
 
 def decoded_bits(result):
@@ -106,44 +99,6 @@ class TestCovertScenarios:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", list(EXEC_SCENARIOS))
-    def test_rerun_is_bit_identical(self, name):
-        scenario = exec_scenario(name)
-        covert = scenario.rounds > 0
-        a = exec_round_trip(scenario, covert=covert)
-        b = exec_round_trip(scenario, covert=covert)
-        assert signature(a.play) == signature(b.play)
-        assert signature(a.replay) == signature(b.replay)
-        assert a.play.log.to_bytes() == b.play.log.to_bytes()
-        assert a.audit.deviation_score() == b.audit.deviation_score()
-
-    def test_no_jit_matches_jit(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-        baseline = exec_round_trip(exec_scenario("sched"), covert=True)
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        nojit = exec_round_trip(exec_scenario("sched"), covert=True)
-        assert signature(baseline.play) == signature(nojit.play)
-        assert signature(baseline.replay) == signature(nojit.replay)
-        assert baseline.play.log.to_bytes() == nojit.play.log.to_bytes()
-
-    def test_unbatched_charging_matches(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-        baseline = exec_round_trip(exec_scenario("mbox"), covert=True)
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        unbatched = exec_round_trip(exec_scenario("mbox"), covert=True)
-        assert signature(baseline.play) == signature(unbatched.play)
-        assert signature(baseline.replay) == signature(unbatched.replay)
-
-    def test_observers_and_profiler_do_not_perturb(self):
-        bare = exec_play(exec_scenario("pipeline"))
-        observed = exec_play(exec_scenario("pipeline"),
-                             obs=Observability(profile=True))
-        assert signature(bare)[:4] == signature(observed)[:4]
-        assert observed.profile is not None
-        assert sum(observed.profile["sources"].values()) \
-            == observed.total_cycles
-
     def test_quantum_changes_schedule_not_correctness(self):
         """Mailbox delivery order is a pure function of the (logged)
         schedule: hostile quanta reshuffle the interleaving, yet every
@@ -196,11 +151,9 @@ class TestPreemptionRazor:
         jit = exec_round_trip(scenario, covert=True, quantum=quantum)
         monkeypatch.setenv("REPRO_NO_JIT", "1")
         nojit = exec_round_trip(scenario, covert=True, quantum=quantum)
-        assert signature(jit.play) == signature(nojit.play)
-        assert signature(jit.replay) == signature(nojit.replay)
-        assert jit.play.log.to_bytes() == nojit.play.log.to_bytes()
-        assert jit.audit.deviation_score() \
-            == nojit.audit.deviation_score()
+        assert jit.play.fingerprint() == nojit.play.fingerprint()
+        assert jit.replay.fingerprint() == nojit.replay.fingerprint()
+        assert jit.audit == nojit.audit
         # The channel survives arbitrary preemption: decode still works.
         assert decoded_bits(jit.play) == decoded_bits(nojit.play)
 
@@ -310,21 +263,3 @@ class TestBlockingSemantics:
         stats = result.stats
         assert stats["exec_messages"] == 48
         assert stats["exec_switches"] >= 48
-
-
-class TestFleetDeterminism:
-    def test_jobs_1_vs_4_summaries_bit_identical(self):
-        """The same task set through the process pool reproduces the
-        serial summaries — cycles, tx, deviations, log digests."""
-        from repro.analysis.parallel import run_fleet
-
-        tasks = [(name, covert, seed, seed + 100, None)
-                 for name in EXEC_SCENARIOS
-                 for covert in ((False, True)
-                                if exec_scenario(name).rounds
-                                else (False,))
-                 for seed in (0, 3)]
-        serial = run_fleet(tasks, jobs=1, worker=exec_fleet_task)
-        fanned = run_fleet(tasks, jobs=4, worker=exec_fleet_task)
-        assert serial == fanned
-        assert all(s["payloads_match"] for s in serial)

@@ -4,10 +4,11 @@ The tentpole invariant: a fleet run is a pure function of (seed, roster,
 policy, topology, chaos plan).  Killing node N at tick T yields
 bit-identical verdict sets, rebalance events, and ledger sums across
 reruns and across ``jobs=1`` vs ``jobs=4`` — the process pool moves
-wall-clock only, never an outcome.
+wall-clock only, never an outcome (``test_equivalence.py`` checks it on
+``verdicts_dict()``).  The tests here compare the rebalance events and
+tenant ledgers of the report objects across ``jobs``, and pin what the
+seed and the fleet size may move.
 """
-
-import json
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.service import FleetService, FleetTopology, default_tenants
 CHAOS = NodeChaosPlan.parse("crash:1@180,stall:2@90+500")
 
 
-def _run(jobs=None, seed=7, chaos=CHAOS, nodes=4):
+def _run(seed=7, chaos=CHAOS, nodes=4, jobs=None):
     service = FleetService(
         default_tenants(3, requests=4),
         topology=FleetTopology(num_nodes=nodes),
@@ -26,25 +27,20 @@ def _run(jobs=None, seed=7, chaos=CHAOS, nodes=4):
     return service.run(jobs=jobs)
 
 
-def _canonical(report) -> str:
-    return json.dumps(report.verdicts_dict(), sort_keys=True)
+@pytest.fixture(scope="module")
+def jobs_1_and_4():
+    return _run(jobs=1), _run(jobs=4)
 
 
 class TestFleetDeterminism:
-    def test_rerun_is_bit_identical_under_chaos(self):
-        assert _canonical(_run()) == _canonical(_run())
-
-    def test_jobs_one_vs_four_identical(self):
-        assert _canonical(_run(jobs=1)) == _canonical(_run(jobs=4))
-
-    def test_rebalance_events_identical_across_jobs(self):
-        serial, parallel = _run(jobs=1), _run(jobs=4)
+    def test_rebalance_events_identical_across_jobs(self, jobs_1_and_4):
+        serial, parallel = jobs_1_and_4
         assert serial.rebalances == parallel.rebalances
         assert serial.requeued == parallel.requeued
         assert serial.killed_in_flight == parallel.killed_in_flight
 
-    def test_ledger_sums_identical_across_jobs(self):
-        serial, parallel = _run(jobs=1), _run(jobs=4)
+    def test_ledger_sums_identical_across_jobs(self, jobs_1_and_4):
+        serial, parallel = jobs_1_and_4
         for tid, ledger in serial.ledgers.items():
             other = parallel.ledgers[tid]
             assert ledger.audits == other.audits
@@ -56,8 +52,8 @@ class TestFleetDeterminism:
         plan_a = NodeChaosPlan.seeded(11, num_nodes=4, horizon_ms=800.0)
         plan_b = NodeChaosPlan.seeded(11, num_nodes=4, horizon_ms=800.0)
         assert plan_a.spec == plan_b.spec
-        assert _canonical(_run(chaos=plan_a)) == _canonical(
-            _run(chaos=plan_b))
+        assert _run(chaos=plan_a).verdicts_dict() \
+            == _run(chaos=plan_b).verdicts_dict()
 
     def test_seed_changes_timeline_not_robustness(self):
         for seed in (7, 8):

@@ -3,11 +3,9 @@
 The observability pillar of time-deterministic replay is that watching
 the system never changes it.  Concretely:
 
-* **Tracing is inert** — a fleet run with the tracer on produces verdict
-  output bit-identical to the same run with tracing off.
-* **Traces are themselves deterministic** — the merged Chrome trace and
-  the NDJSON log are byte-identical across reruns and across worker
-  counts (``--jobs 1`` vs ``--jobs 4``), including under chaos.
+* **Traces are themselves deterministic** — the merged Chrome trace is
+  byte-identical across reruns and across worker counts (``--jobs 1``
+  vs ``--jobs 4``), including under chaos (``test_equivalence.py``).
 * **Causality survives node death** — when a node dies mid-audit the
   in-flight span closes ``killed`` and the redelivered job's queue-wait
   span re-parents onto it, so one trace tells the whole story through
@@ -15,8 +13,6 @@ the system never changes it.  Concretely:
 """
 
 import json
-
-import pytest
 
 from repro.faults.plans import NodeChaosPlan, NodeCrash
 from repro.obs.metrics import MetricsRegistry, split_series
@@ -28,18 +24,12 @@ CHAOS = NodeChaosPlan.parse("crash:1@180,stall:2@90+500")
 
 
 def _service(chaos=None, nodes=3, tenants=3, epochs=2, seed=7,
-             trace=True, registry=None):
+             registry=None):
     return FleetService(
         default_tenants(tenants, requests=4),
         topology=FleetTopology(num_nodes=nodes),
         epochs=epochs, seed=seed, chaos=chaos,
-        registry=registry if registry is not None else MetricsRegistry(),
-        trace=trace)
-
-
-def _trace_bytes(service):
-    return json.dumps(service.dist.to_chrome_trace(),
-                      sort_keys=True).encode()
+        registry=registry if registry is not None else MetricsRegistry())
 
 
 def _razor_plan():
@@ -59,38 +49,7 @@ def _razor_plan():
                          name="razor")
 
 
-class TestTracingIsInert:
-    def test_verdicts_bit_identical_tracing_on_vs_off(self):
-        on = _service(chaos=CHAOS).run()
-        off = _service(chaos=CHAOS, trace=False).run()
-        assert json.dumps(on.verdicts_dict(), sort_keys=True) == \
-            json.dumps(off.verdicts_dict(), sort_keys=True)
-
-    def test_trace_off_disables_tracer_and_payloads(self):
-        service = _service(trace=False)
-        report = service.run()
-        assert service.dist is None
-        assert report.fleet_obs == {} and report.trace_ndjson == ""
-
-
 class TestTraceDeterminism:
-    @pytest.mark.parametrize("chaos", [None, CHAOS],
-                             ids=["quiet", "chaos"])
-    def test_trace_byte_identical_across_reruns(self, chaos):
-        first = _service(chaos=chaos)
-        second = _service(chaos=chaos)
-        first.run()
-        second.run()
-        assert _trace_bytes(first) == _trace_bytes(second)
-        assert first.dist.to_ndjson() == second.dist.to_ndjson()
-
-    def test_trace_byte_identical_jobs_1_vs_4(self):
-        serial = _service(chaos=CHAOS)
-        parallel = _service(chaos=CHAOS)
-        serial.run(jobs=1)
-        parallel.run(jobs=4)
-        assert _trace_bytes(serial) == _trace_bytes(parallel)
-
     def test_chaos_markers_land_on_tracks(self):
         service = _service(chaos=CHAOS)
         service.run()
@@ -141,7 +100,8 @@ class TestRazorReparenting:
         second = _service(chaos=plan)
         first.run(jobs=1)
         second.run(jobs=4)
-        assert _trace_bytes(first) == _trace_bytes(second)
+        assert json.dumps(first.dist.to_chrome_trace(), sort_keys=True) \
+            == json.dumps(second.dist.to_chrome_trace(), sort_keys=True)
 
 
 class TestPerNodeMetricAggregates:

@@ -237,6 +237,21 @@ class TestMachineConfig:
             MachineConfig(**{field: value})
         assert getattr(MachineConfig(**{field: 1}), field) == 1
 
+    @pytest.mark.parametrize("duration,interval", [
+        (4.0e5, 2.0e4), (2.0e4, 2.0e4), (-1.0, 2.0e4)])
+    def test_preemption_without_a_steady_state_rejected(self, duration,
+                                                        interval):
+        """Each preemption is scheduled from the previous one's start and
+        lasts its duration, so a mean duration at or above the mean
+        interval is a backlog that grows at every poll; only
+        construction is tried here."""
+        with pytest.raises(HardwareConfigError, match="steady state"):
+            MachineConfig(preemption_enabled=True,
+                          preempt_mean_duration_cycles=duration,
+                          preempt_mean_interval_cycles=interval)
+        assert MachineConfig(preempt_mean_duration_cycles=0.0,
+                             preempt_mean_interval_cycles=interval)
+
     def test_storage_kinds(self):
         assert MachineConfig(storage=StorageKind.HDD).storage == \
             StorageKind.HDD

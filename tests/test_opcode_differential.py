@@ -18,7 +18,6 @@ oracle written here, independently of the table.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,16 +277,16 @@ def _initial_state(draw, operands) -> dict:
 def _run(code, head, state, stack, jit: bool, batched: bool) -> dict:
     """Run the program on a fresh machine; return the observables."""
     with pytest.MonkeyPatch.context() as patch:
-        if batched:
-            patch.delenv("REPRO_NO_BATCH", raising=False)
-        else:
-            patch.setenv("REPRO_NO_BATCH", "1")
+        for knob, on in (("REPRO_NO_BATCH", batched), ("REPRO_NO_JIT", jit)):
+            if on:
+                patch.delenv(knob, raising=False)
+            else:
+                patch.setenv(knob, "1")
         machine = Machine(MachineConfig(), seed=11, mode="play",
                           obs=Observability(trace=False,
                                             sample_opcodes=False))
-    program = _program(code)
-    vm = Interpreter(program, machine.platform,
-                     replace(machine.vm_config(), jit=jit))
+        program = _program(code)
+        vm = Interpreter(program, machine.platform, machine.vm_config())
     heap = vm.heap
     for kind, handle in ((KIND_INT_ARRAY, 1), (KIND_FLOAT_ARRAY, 2)):
         assert heap.new_array(kind, len(state["heap"][handle]))[0] == handle
@@ -426,11 +425,6 @@ void main() {
 """
 
 
-def _snapshot(result):
-    return (result.total_cycles, result.instructions, result.tx,
-            result.tx_times_ms(), result.ledger, result.console)
-
-
 def test_nonfinite_operands_throw_in_both_tiers(monkeypatch):
     """``cos``/``sin`` of +-inf and ``ftoi`` of NaN or +-inf raise a
     guest DivisionByZero the guest catches, from compiled blocks and
@@ -445,7 +439,7 @@ def test_nonfinite_operands_throw_in_both_tiers(monkeypatch):
                 patch.setenv(knob, "1")
             result = play(program, MachineConfig(), seed=0,
                           obs=Observability(trace=False))
-        runs[knob] = _snapshot(result)
+        runs[knob] = result.fingerprint()
         if knob is None:
             assert result.jit["entries"] > 0
             assert result.jit["side_exits"] > 0
@@ -455,4 +449,4 @@ def test_nonfinite_operands_throw_in_both_tiers(monkeypatch):
     for i in range(20_000):
         if i not in (15_000, 16_000):
             acc = acc + math.cos(0.25) + math.sin(0.25)
-    assert runs[None][-1] == [5, -5, 7 * 19_997, int(acc * 1000.0)]
+    assert runs[None]["console"] == [5, -5, 7 * 19_997, int(acc * 1000.0)]

@@ -82,7 +82,7 @@ def test_aload_bounds_check_precedes_its_access_in_both_tiers(monkeypatch,
     else:
         monkeypatch.setenv("REPRO_NO_BATCH", "1")
     platform = Machine(MachineConfig(), seed=0, mode="play").platform
-    source = _build_region(_aload_function(), 0, platform, 64)["source"]
+    source = _build_region(_aload_function(), 0, platform)["source"]
     assert 0 < source.index("raise _GT(-2)") < \
         source.index("_o.vaddr + 16 + ")
 

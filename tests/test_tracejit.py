@@ -3,11 +3,12 @@
 The tier-up compiles hot bytecode regions into fused Python closures
 that charge a pre-summed block cost through the batched platform.  The
 charging replay is exact and block entry/exit protocols mirror the
-interpreter byte-for-byte, so everything observable — total cycles,
-per-source ledger sums, transmission times, serialized log bytes, audit
-verdicts — must be bit-identical to the pure interpreter, which stays
-available behind ``REPRO_NO_JIT=1`` as the differential reference
-(mirroring ``REPRO_NO_BATCH`` for batched charging).
+interpreter byte-for-byte, so a run's fingerprint must be bit-identical
+to the pure interpreter's, which stays available behind
+``REPRO_NO_JIT=1`` as the differential reference (mirroring
+``REPRO_NO_BATCH`` for batched charging).  The pipeline scenarios are
+compared in ``test_equivalence.py``; the tests here pin the programs,
+configs and poll placements at the tier-up's own boundaries.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.parallel import MachineSpec, run_fleet
 from repro.apps import (SCIMARK_KERNELS, build_kernel_program,
                         build_nfs_program, build_nfs_workload, compile_app)
-from repro.core.resilience import audit_resilient
 from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
-from repro.faults import standard_fault_kinds
 from repro.hw.cache import CacheHierarchy
 from repro.hw.cpu import CostClass, CpuModel
 from repro.hw.interrupts import IrqSource
@@ -37,14 +35,12 @@ from repro.machine.platform import _ACC_INSTR, TimedCorePlatform
 from repro.obs import Observability
 from repro.vm import tracejit
 from repro.vm.heap import HEAP_BASE, GuestThrow
-from repro.vm.interpreter import Interpreter, VmConfig
+from repro.vm.interpreter import Interpreter
 from repro.vm.isa import ROWS, STACK_BASE
-from repro.vm.tracejit import (_MIN_BLOCK, _build_region, _static,
-                               compile_region,
-                               jit_enabled)
+from repro.vm.tracejit import (_MIN_BLOCK, MAX_BLOCK, _build_region,
+                               _static, compile_region, jit_enabled)
 
 REQUESTS = 5
-CHAOS_SEED = 20141006
 
 
 @pytest.fixture(autouse=True)
@@ -60,116 +56,10 @@ def nfs_program():
     return build_nfs_program()
 
 
-def _round_trip(nfs_program, obs=None, schedule=None):
+def _round_trip(nfs_program):
     workload = build_nfs_workload(SplitMix64(7042), num_requests=REQUESTS)
     return round_trip(nfs_program, MachineConfig(), workload=workload,
-                      play_seed=3, replay_seed=9,
-                      covert_schedule=schedule, obs=obs)
-
-
-def _snapshot(result):
-    return (result.total_cycles, result.instructions, result.tx,
-            result.tx_times_ms(), result.ledger)
-
-
-class TestBitIdentity:
-    """JIT on vs ``REPRO_NO_JIT=1``: every observable must match."""
-
-    def test_round_trip_with_ledger(self, nfs_program, monkeypatch):
-        jit = _round_trip(nfs_program, obs=Observability())
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        interp = _round_trip(nfs_program, obs=Observability())
-
-        assert _snapshot(jit.play) == _snapshot(interp.play)
-        assert _snapshot(jit.replay) == _snapshot(interp.replay)
-        assert jit.play.ledger == interp.play.ledger
-        assert jit.play.ledger is not None
-        # The reference run really was the pure interpreter.
-        assert jit.play.jit is not None and jit.play.jit["enabled"]
-        assert interp.play.jit is None
-
-    def test_round_trip_no_obs(self, nfs_program, monkeypatch):
-        jit = _round_trip(nfs_program)
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        interp = _round_trip(nfs_program)
-        assert _snapshot(jit.play) == _snapshot(interp.play)
-        assert _snapshot(jit.replay) == _snapshot(interp.replay)
-
-    def test_covert_schedule_and_log_bytes(self, nfs_program, monkeypatch):
-        schedule = [1_500, 4_000, 2_500, 6_000]
-        jit = _round_trip(nfs_program, schedule=list(schedule))
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        interp = _round_trip(nfs_program, schedule=list(schedule))
-        assert _snapshot(jit.play) == _snapshot(interp.play)
-        # The serialized event log — the auditor's wire artifact — is
-        # byte-identical, so attestation chains hash identically too.
-        assert jit.play.log.to_bytes() == interp.play.log.to_bytes()
-
-    def test_audit_verdicts_match(self, nfs_program, monkeypatch):
-        def verdicts():
-            trip = _round_trip(nfs_program)
-            report = trip.audit
-            outcome = audit_resilient(nfs_program, trip.play,
-                                      trip.play.log.to_bytes(),
-                                      config=MachineConfig(), replay_seed=9)
-            return (report.payloads_match, report.deviation_score(),
-                    report.total_time_error, report.is_consistent(),
-                    outcome.classification, outcome.consistent,
-                    outcome.coverage)
-
-        jit = verdicts()
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        assert verdicts() == jit
-
-    @pytest.mark.parametrize("severity", (1, 2))
-    def test_chaos_verdicts_match(self, nfs_program, monkeypatch, severity):
-        """Damaged-log audits classify identically with and without the
-        tier-up: salvage replays go through the same VM."""
-        def sweep():
-            result = play(nfs_program, MachineConfig(),
-                          workload=build_nfs_workload(SplitMix64(7042),
-                                                      num_requests=REQUESTS),
-                          seed=3)
-            data = result.log.to_bytes()
-            outcomes = []
-            for plan in standard_fault_kinds(severity):
-                rng = SplitMix64(CHAOS_SEED).fork(f"{plan.name}:{severity}")
-                outcome = audit_resilient(nfs_program, result,
-                                          plan.apply(data, rng),
-                                          config=MachineConfig())
-                outcomes.append((plan.name, outcome.classification,
-                                 outcome.consistent, outcome.coverage,
-                                 outcome.degradation))
-            return outcomes
-
-        jit = sweep()
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        assert sweep() == jit
-
-
-class TestFleetDeterminism:
-    """The tier-up is invisible to the parallel fleet, and the
-    ``REPRO_*`` switches reach worker processes."""
-
-    @staticmethod
-    def _specs():
-        return [MachineSpec(program="kernel:sor", config=MachineConfig(),
-                            seed=seed) for seed in range(4)]
-
-    @staticmethod
-    def _facts(results):
-        return [(r.total_cycles, r.instructions, r.tx) for r in results]
-
-    def test_parallel_matches_serial(self):
-        serial = self._facts(run_fleet(self._specs(), jobs=1))
-        parallel = self._facts(run_fleet(self._specs(), jobs=4))
-        assert parallel == serial
-
-    def test_no_jit_propagates_to_workers(self, monkeypatch):
-        jit_on = self._facts(run_fleet(self._specs(), jobs=4))
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        jit_off = self._facts(run_fleet(self._specs(), jobs=4))
-        assert jit_off == jit_on
+                      play_seed=3, replay_seed=9)
 
 
 RAZOR_SRC = """
@@ -215,9 +105,7 @@ class TestRazorSideExit:
         monkeypatch.setenv("REPRO_NO_JIT", "1")
         interp = play(program, MachineConfig(), seed=0)
         assert interp.jit is None
-        assert jit.console == interp.console
-        assert _snapshot(jit) == _snapshot(interp)
-        assert jit.log.to_bytes() == interp.log.to_bytes()
+        assert jit.fingerprint() == interp.fingerprint()
 
 
 class TestUnits:
@@ -452,9 +340,6 @@ CARRIES = st.one_of(st.sampled_from((0.0, 2.0 ** -52, 1.0 - 2.0 ** -52)),
                     st.floats(0.0, 1.0, exclude_max=True))
 
 
-#: The longest stream a compiled block inlines its charge for.
-MAX_BLOCK = VmConfig().jit_max_block
-
 
 @settings(max_examples=300, deadline=None)
 @given(runtime=st.sampled_from((RuntimeKind.SANITY, RuntimeKind.ORACLE_JIT)),
@@ -596,8 +481,7 @@ def _elision_runs(nfs_program, config):
 
 
 def _elision_facts(runs):
-    return [(r.total_cycles, r.instructions, r.tx, r.ledger, r.stats, state)
-            for r, state in runs]
+    return [(r.fingerprint(), state) for r, state in runs]
 
 
 @pytest.fixture(scope="module", params=sorted(ELISION_CONFIGS))
@@ -663,10 +547,10 @@ def poll_programs(nfs_program):
 
 
 def _poll_runs(programs, config, irqs):
-    """Each program's facts: cycles, instructions, tx, per-source
-    ledger, stats, console, log bytes, the TLB, cache, predictor and bus
-    state at the end, and the instruction count and clock after every
-    interpreter poll (with the IRQ sources ``irqs``, if not None)."""
+    """Each program's facts: its fingerprint, the TLB, cache, predictor
+    and bus state at the end, and the instruction count and clock after
+    every interpreter poll (with the IRQ sources ``irqs``, if not
+    None)."""
     facts = []
     readings: list = []
     poll = Interpreter.poll
@@ -688,9 +572,7 @@ def _poll_runs(programs, config, irqs):
                               workload=workload, covert_enabled=True,
                               obs=Observability())
             result = machine.run(program)
-            facts.append((result.total_cycles, result.instructions,
-                          result.tx, result.ledger, result.stats,
-                          result.console, result.log.to_bytes(),
+            facts.append((result.fingerprint(),
                           machine.tlb.state_fingerprint(),
                           machine.hierarchy.state_fingerprint(),
                           machine.predictor.state_fingerprint(),
@@ -891,7 +773,7 @@ class TestWorkCounts:
         up the frame line's page once, however many iterations it runs."""
         platform = Machine(MachineConfig(), seed=3, mode="play").platform
         art = _build_region(nfs_program.function("process_chunk"), 18,
-                            platform, 64)
+                            platform)
         assert art["loops"]
         loop = next(node for node in ast.walk(ast.parse(art["source"]))
                     if isinstance(node, ast.While))
