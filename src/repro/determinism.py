@@ -41,6 +41,13 @@ def hash_string(text: str) -> int:
     return mix64(acc)
 
 
+def box_muller(u1: float, u2: float) -> float:
+    """The standard normal variate of two uniform ones in [0, 1)."""
+    if u1 <= 0.0:
+        u1 = 2.0 ** -53     # guard against log(0)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
 class SplitMix64:
     """A tiny, fully deterministic 64-bit PRNG (Steele et al., OOPSLA'14).
 
@@ -75,6 +82,22 @@ class SplitMix64:
         """Uniform float in [0, 1)."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
+    def randoms(self, count: int) -> list[float]:
+        """The next ``count`` :meth:`random` values, drawn in one loop
+        with :func:`mix64` inlined; the stream ends where ``count``
+        calls of :meth:`random` leave it."""
+        state = self._state
+        values = []
+        append = values.append
+        for _ in range(count):
+            state = (state + _GOLDEN_GAMMA) & _MASK64
+            z = ((state ^ _GOLDEN_GAMMA) + _GOLDEN_GAMMA) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            append(((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)))
+        self._state = state
+        return values
+
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in [low, high)."""
         return low + (high - low) * self.random()
@@ -96,12 +119,7 @@ class SplitMix64:
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """Normally distributed float (Box-Muller, one draw per call)."""
-        u1 = self.random()
-        u2 = self.random()
-        if u1 <= 0.0:
-            u1 = 2.0 ** -53
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mu + sigma * z
+        return mu + sigma * box_muller(self.random(), self.random())
 
     def lognormal(self, mu: float, sigma: float) -> float:
         """Log-normally distributed float."""

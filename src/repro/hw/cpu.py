@@ -25,9 +25,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.determinism import SplitMix64, ZeroNoise
+from repro.determinism import SplitMix64, ZeroNoise, box_muller
 from repro.errors import HardwareConfigError
 from repro.obs.ledger import Source
+
+
+#: Noise redraws whose factors the CPU draws at once.  A larger batch
+#: costs more than it saves on the many short-lived machines of a fleet.
+NOISE_BATCH = 16
 
 
 class CostClass(enum.IntEnum):
@@ -149,31 +154,49 @@ class CpuModel:
         # measurably cheaper than a dict lookup on the per-instruction
         # path.
         self._cost_list = [config.costs[c] for c in CostClass]
-        self._freq_factor = 1.0
-        self._spec_factor = 1.0
         self._combined = 1.0
         self._frac = 0.0              # fractional-cycle carry (Bresenham)
         self._instructions = 0
         # Countdown to the next noise redraw (replaces a modulo per call;
         # redraw points stay at exact multiples of speculation_period).
         self._until_redraw = config.speculation_period
+        #: The factors of the next redraws, the next one last.
+        self._factors: list[float] = []
         self._recompute_noise()
 
     def _recompute_noise(self) -> None:
+        if not self._factors:
+            self._refill()
+        self._combined = self._factors.pop()
+
+    def _refill(self) -> None:
+        """Draw the factors of the next :data:`NOISE_BATCH` redraws, each
+        from the variates a redraw of its own would draw, in its order:
+        the frequency factor's uniform, then the speculation factor's
+        Box-Muller normal.  A seeded stream draws the whole batch's
+        variates in one loop (it is the CPU's own fork, so drawing ahead
+        cannot be observed); another (``ZeroNoise``) draws per factor."""
         cfg = self.config
-        if cfg.freq_scaling_enabled or cfg.turbo_enabled:
-            span = cfg.freq_span * (1.0 if cfg.freq_scaling_enabled else 0.4)
-            self._freq_factor = 1.0 + self._rng.uniform(-span, span)
-        else:
-            self._freq_factor = 1.0
-        sigma = cfg.speculation_sigma
-        if cfg.turbo_enabled:
-            sigma *= 6.0  # dynamic optimizations amplify unpredictability
-        if sigma > 0.0:
-            self._spec_factor = max(0.8, 1.0 + self._rng.normal(0.0, sigma))
-        else:
-            self._spec_factor = 1.0
-        self._combined = self._freq_factor * self._spec_factor
+        scaled = cfg.freq_scaling_enabled or cfg.turbo_enabled
+        span = cfg.freq_span * (1.0 if cfg.freq_scaling_enabled else 0.4)
+        # Dynamic optimizations amplify unpredictability.
+        sigma = cfg.speculation_sigma * (6.0 if cfg.turbo_enabled else 1.0)
+        rng = self._rng
+        batched = isinstance(rng, SplitMix64)
+        if batched:
+            draw = iter(rng.randoms(
+                NOISE_BATCH * (scaled + 2 * (sigma > 0.0)))).__next__
+        factors = []
+        for _ in range(NOISE_BATCH):
+            freq = spec = 1.0
+            if scaled:      # ``uniform(-span, span)``
+                freq += (-span + (span + span) * draw() if batched
+                         else rng.uniform(-span, span))
+            if sigma > 0.0:
+                spec = max(0.8, 1.0 + (sigma * box_muller(draw(), draw())
+                                       if batched else rng.normal(0.0, sigma)))
+            factors.append(freq * spec)
+        self._factors = factors[::-1]
 
     def instruction_cost(self, cost_class: CostClass) -> int:
         """Cycle cost of one instruction of the given class, with noise.

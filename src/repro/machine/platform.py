@@ -46,11 +46,12 @@ halves per access (DESIGN §4.3): a line a call meets again is
 translated once per call and later makes only the LRU moves, and the
 hit counters are summed at the block's exits.  The L1 hit is an LRU
 move, so a machine whose L1 is not LRU runs the unbatched reference.
-``render_charge`` is the closed-form charge of a run of instructions
-with no noise redraw inside it; the batched ``charge_block`` splits its
-stream into such runs at each redraw, and the batched ``charge`` is a
-run of one instruction.  On a CPU whose noise factor is always 1.0 the
-charges skip the float steps while the carry is zero.
+Compiled blocks charge in place from two more templates: each
+instruction steps the fractional carry (:data:`_CARRY`), and each
+event and exit adds the cycles of the run since the last one in closed
+form (:data:`_RUN`).  The batched ``charge`` is one instruction in
+closed form.  On a CPU whose noise factor is always 1.0 both skip the
+float steps while the carry is zero.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ _FACTORIES: dict = {}
 #: ``x - int(x)`` step as ``x % 1.0``, which is the same float for x >= 0.
 _CARRY = "_cf = ({} * _cc + _cf) % 1.0"
 
-#: The noise redraw between two runs.  The countdown restarts one above
-#: the period because the next run's first instruction is the one that
-#: redraws, and the carry passes through unchanged.
-_REDRAW = ["_cpu._until_redraw = _cpu.config.speculation_period + 1",
-           "_cpu._recompute_noise()"]
+#: The cycles of a run of instructions under one factor ``_cc``, from
+#: the carry ``_cf0`` and base-cost prefix sum ``_ps0`` at its start to
+#: the carry ``_cf`` and prefix sum ``{}`` at its end: the telescoped
+#: sum of the carry steps, which ``round`` makes exact (DESIGN §4.3).
+_RUN = f"_acc[{_ACC_INSTR}] += round(_cc * ({{}} - _ps0) + _cf0 - _cf)"
 
 
 def batching_enabled() -> bool:
@@ -109,87 +110,42 @@ def _indent(lines: list[str]) -> list[str]:
     return ["    " + line for line in lines]
 
 
-def _counts(n, cycles) -> list[str]:
-    """The counters a run of ``n`` instructions charging ``cycles``
-    advances: the redraw countdown, the CPU's instruction count and the
-    instruction slot."""
-    return [f"_cpu._until_redraw -= {n}", f"_cpu._instructions += {n}",
+def _counts(cycles) -> list[str]:
+    """The counters one instruction charging ``cycles`` advances: the
+    redraw countdown, the CPU's instruction count and the instruction
+    slot."""
+    return ["_cpu._until_redraw -= 1", "_cpu._instructions += 1",
             f"_acc[{_ACC_INSTR}] += {cycles}"]
 
 
-def _closed_form(n, total, steps: list[str] | None = None,
-                 exact: bool = False) -> list[str]:
-    """Lines charging a run of ``n`` instructions of base-cost sum
-    ``total`` when no noise redraw falls inside it (DESIGN §4.3).
-
-    ``steps`` advance the carry ``_cf`` over the instructions with
-    :data:`_CARRY`, and the run's cycles are the telescoped sum.  Without
-    ``steps`` the run is one instruction (``n`` is 1) of base cost
-    ``total``: it keeps ``x = total * c + f``, whose ``x % 1.0`` is the
-    carry and whose ``int(x)`` is that sum with fewer operations.
-    ``exact`` is for a CPU whose noise factor is always 1.0: a run from a
-    zero carry then costs ``total`` and leaves the carry at zero, so the
-    float steps run only under a nonzero carry.
-    """
-    if steps is None:
-        carry = [f"_cx = {total} * _cpu._combined + _cpu._frac",
-                 "_cpu._frac = _cx % 1.0"]
-        cycles = "int(_cx)"
-    else:
-        carry = (["_cc = _cpu._combined", "_cf = _cf0 = _cpu._frac"]
-                 + steps + ["_cpu._frac = _cf"])
-        cycles = f"round(_cc * {total} + _cf0 - _cf)"
-    lines = carry + _counts(n, cycles)
-    if not exact:
-        return lines
-    return (["if _cpu._frac == 0.0:"] + _indent(_counts(n, total))
-            + ["else:"] + _indent(lines))
+def _charge_lines(exact: bool) -> list[str]:
+    """The body of the batched ``charge(cost_class)``: after the redraw
+    when the countdown is at 1, one instruction in closed form.  It
+    keeps ``x = B*c + f``, whose ``x % 1.0`` is the carry and whose
+    ``int(x)`` is the cycles; the countdown restarts one above the
+    period because the decrement follows.  ``exact`` is for a CPU whose
+    noise factor is always 1.0, which charges the base cost and leaves
+    the carry at zero while the carry is zero."""
+    closed = ["_cx = _costs[cost_class] * _cpu._combined + _cpu._frac",
+              "_cpu._frac = _cx % 1.0", *_counts("int(_cx)")]
+    if exact:
+        closed = (["if _cpu._frac == 0.0:"]
+                  + _indent(_counts("_costs[cost_class]"))
+                  + ["else:"] + _indent(closed))
+    return ["if _cpu._until_redraw == 1:",
+            "    _cpu._until_redraw = _cpu.config.speculation_period + 1",
+            "    _cpu._recompute_noise()", *closed]
 
 
-def _looped(n, total, costs: str) -> list[str]:
-    """:func:`_closed_form` over the base costs in the sequence ``costs``."""
-    return _closed_form(n, total, [f"for _cb in {costs}:",
-                                   "    " + _CARRY.format("_cb")])
+#: The batched ``charge`` by whether the CPU is exact.
+_CHARGES = {exact: _charge_lines(exact) for exact in (False, True)}
 
 
-def render_charge(bases, fallback: str, exact: bool = False) -> list[str]:
-    """Lines charging an instruction stream of base costs ``bases``: in
-    closed form when no noise redraw falls inside it, else by running
-    the source line ``fallback`` (``exact``: see :func:`_closed_form`)."""
-    n = len(bases)
-    return ([f"if _cpu._until_redraw > {n}:"]
-            + _indent(_closed_form(n, sum(bases),
-                                   [_CARRY.format(b) for b in bases], exact))
-            + ["else:", "    " + fallback])
-
-
-#: The batched ``charge(cost_class)``, by whether the CPU is exact (see
-#: :func:`_closed_form`): a one-instruction run, after the redraw when
-#: the countdown is at 1.
-_CHARGES = {exact: (["if _cpu._until_redraw == 1:"] + _indent(_REDRAW)
-                    + _closed_form(1, "_costs[cost_class]", exact=exact))
-            for exact in (False, True)}
-
-
-#: The batched ``charge_block(cost_classes, base_costs=None,
-#: base_total=None)``: the stream split at each noise redraw inside it
-#: into runs of ``_until_redraw - 1`` instructions, each charged in closed
-#: form and followed by the redraw, then the rest in closed form.
-_CHARGE_BLOCK = (["n = len(cost_classes)",
-                  "if base_costs is None:",
-                  "    base_costs = [_costs[c] for c in cost_classes]",
-                  "if base_total is None:",
-                  "    base_total = sum(base_costs)",
-                  "while _cpu._until_redraw <= n:",
-                  "    _k = _cpu._until_redraw - 1",
-                  "    _run = base_costs[:_k]",
-                  "    _tot = sum(_run)"]
-                 + ["    " + line
-                    for line in _looped("_k", "_tot", "_run") + _REDRAW]
-                 + ["    base_costs = base_costs[_k:]",
-                    "    base_total -= _tot",
-                    "    n -= _k"]
-                 + _looped("n", "base_total", "base_costs"))
+def _carry(base, exact: bool = False) -> str:
+    """The :data:`_CARRY` step of an instruction of base cost ``base``
+    in a compiled block.  An exact CPU steps only a nonzero carry: from
+    a zero carry under the factor 1.0 the step leaves it at zero."""
+    return ("if _cf: " if exact else "") + _CARRY.format(base)
 
 
 #: The four locals of a translated access: its page number, physical
@@ -287,10 +243,9 @@ def _mem_templates(page_shift: int, line_shift: int, nsets: int,
 
 def _generated_paths(mem_lines: tuple, namespace: dict,
                      charge_lines: list[str]):
-    """The ``(mem_access, charge, charge_block)`` closures over
-    ``namespace``: ``mem_access(vaddr)`` runs ``mem_lines``, ``charge``
-    ``charge_lines`` (from :data:`_CHARGES`) and ``charge_block``
-    :data:`_CHARGE_BLOCK`.
+    """The ``(mem_access, charge)`` closures over ``namespace``:
+    ``mem_access(vaddr)`` runs ``mem_lines`` and ``charge``
+    ``charge_lines`` (from :data:`_CHARGES`).
 
     The source is compiled once per distinct text, into a factory that
     takes the namespace as arguments, so every platform after the first
@@ -303,10 +258,8 @@ def _generated_paths(mem_lines: tuple, namespace: dict,
         + [f"    def {signature}:{indent}{indent.join(body)}"
            for signature, body in (
                ("mem_access(vaddr)", mem_lines),
-               ("charge(cost_class)", charge_lines),
-               ("charge_block(cost_classes, base_costs=None,"
-                " base_total=None)", _CHARGE_BLOCK))]
-        + ["    return mem_access, charge, charge_block"])
+               ("charge(cost_class)", charge_lines))]
+        + ["    return mem_access, charge"])
     factory = _FACTORIES.get(source)
     if factory is None:
         scope: dict = {}
@@ -413,12 +366,13 @@ class TimedCorePlatform(Platform):
 
     def mem_inline(self) -> MemInline | None:
         """The batched templates (the memory access's two halves and
-        exit sums, ``render_charge``) and their namespace, for inlining
-        memory accesses and the block charge into trace blocks.
+        exit sums, the carry step and the run's cycles) and their
+        namespace, for inlining memory accesses and the charge into
+        trace blocks.
 
         None on the unbatched reference (``REPRO_NO_BATCH=1`` or a
         non-LRU L1), whose compiled blocks call ``mem_access`` and
-        ``charge_block`` instead.
+        ``charge`` instead.
         """
         return self._mem_inline
 
@@ -465,11 +419,10 @@ class TimedCorePlatform(Platform):
         source's accumulator slot, with or without a ledger attached;
         ``flush_charges`` splits the bus stalls out of the cache slot.
         The memory access is built from the templates compiled trace
-        blocks inline, and ``charge`` and ``charge_block`` from the
-        closed form ``render_charge`` inlines, so no two of them can
-        diverge.  They update the CPU's own counters, redraw points
-        and carry, so ``CpuModel.instruction_cost`` callers interleave
-        transparently.
+        blocks inline, so the two cannot diverge.  ``charge`` updates
+        the CPU's own counters, redraw points and carry, as compiled
+        blocks do at their events and exits, so
+        ``CpuModel.instruction_cost`` callers interleave transparently.
         """
         acc = self._acc
         cpu = self.cpu
@@ -502,13 +455,12 @@ class TimedCorePlatform(Platform):
         exact = not (timing.speculation_sigma or timing.freq_scaling_enabled
                      or timing.turbo_enabled)
         self._mem_inline = MemInline(
-            *templates, functools.partial(render_charge, exact=exact),
+            *templates, functools.partial(_carry, exact=exact), _RUN.format,
             window is not None, inline_ns, (*mem_lines, exact))
-        mem_access, charge, charge_block = _generated_paths(
+        mem_access, charge = _generated_paths(
             mem_lines, {**inline_ns, "_costs": cpu._cost_list},
             _CHARGES[exact])
         self.charge = charge
-        self.charge_block = charge_block
         self.mem_access = mem_access
         self.fetch_access = mem_access
         self.branch = branch

@@ -666,7 +666,7 @@ def run_serve(args) -> int:
                            seed=args.serve_seed, num_workers=args.workers,
                            registry=registry)
     with time_phase("serve.run", registry):
-        report = service.run(jobs=args.jobs)
+        report = service.run(jobs=args.jobs if args.jobs else 1)
     for line in report.render_lines():
         print(f"  {line}")
 
@@ -712,7 +712,7 @@ def run_fleet_audit(args) -> int:
         epochs=args.epochs, seed=args.serve_seed, chaos=chaos,
         registry=registry)
     with time_phase("fleet_audit.run", registry):
-        report = service.run(jobs=args.jobs)
+        report = service.run(jobs=args.jobs if args.jobs else 1)
     for line in report.render_lines():
         print(f"  {line}")
 

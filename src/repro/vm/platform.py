@@ -24,7 +24,12 @@ class MemInline(NamedTuple):
     A block renders an access as ``translate`` then ``update``, and
     adds the hit counters its accesses would have added once per exit,
     through ``hits``: misses are counted in the locals ``_mt`` (TLB) and
-    ``_mc`` (L1), which the block sets to 0 on entry.
+    ``_mc`` (L1), which the block sets to 0 on entry.  It charges each
+    instruction in place with ``carry`` and adds the cycles of a run
+    with ``cycles``.  The namespace's ``_cpu`` is the CPU model, whose
+    noise factor (``_combined``), carry (``_frac``) and redraw countdown
+    (``_until_redraw``) a block keeps in locals and hands back, with the
+    instruction count (``_instructions``), at its polls and exits.
     """
 
     #: ``mem(expr)``: lines charging a memory access at address
@@ -49,10 +54,15 @@ class MemInline(NamedTuple):
     #: frame base when ``frame``), or None when none can be proven.  Two
     #: accesses in one block call with equal keys touch the same line.
     line_key: Callable[..., object]
-    #: ``charge(bases, fallback)``: lines charging an instruction stream
-    #: of base costs ``bases`` in closed form, running the source line
-    #: ``fallback`` instead when a noise redraw falls inside it.
-    charge: Callable[[tuple, str], list]
+    #: ``carry(base)``: the line stepping the fractional carry ``_cf``
+    #: over one instruction of base cost ``base`` under the noise factor
+    #: ``_cc``.
+    carry: Callable[[int], str]
+    #: ``cycles(prefix)``: the line adding the cycles of the run of
+    #: instructions since the carry was ``_cf0`` and the base-cost prefix
+    #: sum ``_ps0``, up to the prefix sum ``prefix``, where the carry is
+    #: ``_cf``.
+    cycles: Callable[[object], str]
     #: Whether an access without a line key may be skipped at run time
     #: (the Oracle-JIT model's registerized window): such an access
     #: renders through ``mem``.
@@ -96,37 +106,21 @@ class Platform(abc.ABC):
         ignore it.
         """
 
-    def charge_block(self, cost_classes, base_costs=None,
-                     base_total: int | None = None) -> None:
-        """Charge a compiled block's instruction stream in one call.
-
-        The reference implementation simply replays :meth:`charge` per
-        instruction, so any platform is automatically correct under the
-        trace-compiling tier-up; timed platforms may install a batched
-        override that uses ``base_costs`` (the per-instruction noise-free
-        base costs of ``cost_classes``) and ``base_total`` (their sum),
-        deriving both when they are omitted.
-        """
-        charge = self.charge
-        for cost_class in cost_classes:
-            charge(cost_class)
-
     def instruction_base_costs(self):
         """Dense base-cost table indexed by :class:`CostClass`, or None.
 
-        The trace compiler uses this to pre-sum a block's cycle cost at
-        compile time; ``None`` (the default) means the platform has no
-        meaningful base table and block totals are charged by replaying
-        ``charge`` per instruction.
+        The trace compiler counts a block's base cycles from it, and a
+        batched platform's blocks charge from its prefix sums; ``None``
+        (the default) means the platform has no meaningful base table.
         """
         return None
 
     def mem_inline(self) -> MemInline | None:
-        """Source templates for inlining memory accesses and the block
-        charge into trace blocks, as a :class:`MemInline`.
+        """Source templates for inlining memory accesses and the charge
+        into trace blocks, as a :class:`MemInline`.
 
         ``None`` (the default) makes compiled blocks call
-        :meth:`mem_access` per access and :meth:`charge_block` per block.
+        :meth:`mem_access` per access and :meth:`charge` per instruction.
         """
         return None
 

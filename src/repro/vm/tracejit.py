@@ -10,10 +10,8 @@ is rendered from its row of :data:`repro.vm.isa.ROWS`, the table the
 interpreter renders its dispatch ladder from, so the two tiers share
 one statement of every opcode's semantics.  On a batched platform the
 block inlines the platform's templates (:meth:`Platform.mem_inline`):
-each memory access, and the block's charge, in closed form unless a
-noise redraw or a poll falls inside the block.  Otherwise the block
-calls :meth:`Platform.charge_block` once per execution instead of
-charging once per instruction.
+each memory access, and each instruction's charge in place.
+Otherwise the block calls :meth:`Platform.charge` per instruction.
 
 Time determinism is the design constraint, not an afterthought:
 
@@ -24,27 +22,28 @@ Time determinism is the design constraint, not an afterthought:
   worst-case pops.  Anything else falls back to the reference
   interpreter for that entry.
 
-* **Polls run in place.**  The caller passes the offset of the
-  instruction the next platform poll counts, and the block checks it
-  before each instruction.  At that offset it brings the clock, the
-  accumulators and the instruction counts to what the interpreter holds
-  at the poll (the instructions before it charged, the polled one
-  counted), runs :meth:`Interpreter.poll`, and carries on with its
-  registerized stack and translated lines; its exits then add only
-  what the poll did not.  The hook touches only the platform and the
+* **Polls and noise redraws run in place.**  The caller passes the
+  offset of the instruction the next platform poll counts, the block
+  keeps the offset of the instruction whose charge redraws the CPU's
+  noise factor, and one check before each instruction covers both.  At
+  a poll the block brings the clock, the accumulators, the CPU and the
+  instruction counts to what the interpreter holds at the poll (the
+  instructions before it charged, the polled one counted), runs
+  :meth:`Interpreter.poll`, and carries on with its registerized stack
+  and translated lines; its exits then add only what the poll did
+  not.  The hook touches only the platform and the
   machine (:meth:`Platform.on_quantum`), and a translation stays valid
   across it: page-table entries are never removed, set dicts never
   rebound, and an IRQ's cache pollution leaves no writeback pending
   (DESIGN §4.3).
 
-* **Exact charge replay.**  With no noise redraw inside the block, the
-  inline charge steps only the fractional carry per instruction and
-  scales the pre-summed total once; otherwise ``charge_block`` splits
-  the stream at each redraw into runs charged the same way, with the
-  redraws at the same points of the same stream.  A pass with a poll in
-  it charges the instructions before the poll, and then the rest,
-  through ``charge_block``.  Both are rendered from one closed-form
-  template, so cycles are bit-identical either way (DESIGN §4.3).
+* **Exact charge in place.**  Each instruction steps the fractional
+  carry right after its check, and every poll, redraw and exit adds the
+  cycles of the run since the previous one in closed form, from the
+  block's static base-cost prefix sums; a redraw draws the next factor
+  at the same point of the same stream as the reference.  No pass makes
+  a charging call of its own, and cycles are bit-identical however the
+  runs are cut (DESIGN §4.3).
 
 * **Lines translated once per call.**  Page-table entries are never
   removed and L1 set dicts never rebound, so an access to a static line
@@ -68,7 +67,7 @@ Time determinism is the design constraint, not an afterthought:
 
 * **Side exits.**  Every fault-capable instruction records its offset
   before executing; on a guest throw the generated code charges the
-  exact prefix, adds the counters of the instructions and accesses
+  open run up to the fault, adds the counters of the instructions and accesses
   actually retired, restores ``frame.pc`` to the interpreter's
   convention (one past the faulting instruction) and re-raises for the
   interpreter's exception dispatch.
@@ -89,6 +88,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import os
 from typing import TYPE_CHECKING
@@ -207,35 +207,42 @@ def compile_region(function: "Function", head: int,
     ns["_mem"] = platform.mem_access
     ns["_fetch"] = platform.fetch_access
     ns["_branch"] = platform.branch
-    ns["_charge_block"] = platform.charge_block
+    ns["_charge"] = platform.charge
     if inline is not None:
         ns.update(inline.namespace)
-    exec(_poll_code(inline), ns)  # noqa: S102 - from fixed templates
+    exec(_event_code(inline), ns)  # noqa: S102 - from fixed templates
     exec(art["code"], ns)  # noqa: S102 - generated from a fixed template
     block.run = ns["_block"]
     return block
 
 
-#: The in-block poll helpers' code, by the signature of the templates
+#: A batched block's prologue: the open run starts at entry, ``_u`` is
+#: the offset whose charge redraws and ``_e`` the nearer of it and ``_p``.
+_OPEN = ["_cc = _cpu._combined", "_cf = _cf0 = _cpu._frac",
+         "_ps0 = _c0 = _mt = _mc = 0", "_u = _cpu._until_redraw - 1",
+         "_e = _p if _p < _u else _u"]
+
+
+#: The in-block event helpers' code, by the signature of the templates
 #: they are rendered from (None for blocks that call ``_mem``).
-_POLL_CODE: dict = {}
+_EVENT_CODE: dict = {}
 
 
-def _poll_code(inline):
-    """The in-block poll helpers, compiled once per template signature
+def _event_code(inline):
+    """The in-block event helpers, compiled once per template signature
     and defined in each block's namespace, whose constants they read
     (DESIGN §4.3).
 
-    ``_poll(vm, thread, frame, _k, _c0[, _c, _mt, _mc], _j=0)`` runs the
-    poll at offset ``_k`` of a pass that ``_j`` whole self-loop
-    iterations precede, in the interpreter's order: the instruction at
-    ``_k`` counted, not yet charged.  It charges the pass from ``_c0``
-    (0, or the offset of the pass's previous poll) up to ``_k``, adds
-    the hits of the pass's first ``_c`` summed accesses less the misses
-    counted, publishes the instruction counts around the poll and sets
-    ``frame.pc`` for the profiler.  It returns the next poll's offset,
-    the new charge start and miss counts from which the exits' sums add
-    only the rest.
+    ``_event`` runs, in the interpreter's order, the poll at offset
+    ``_k == _p`` of a pass that ``_j`` self-loop iterations precede,
+    then the noise redraw at ``_k == _u``, before that instruction's
+    charge.  The poll publishes the counts around its call (``_k``
+    counted, not yet charged), sets ``frame.pc`` for the profiler and
+    moves ``_p`` on.  A batched one also charges the open run up to
+    prefix sum ``_s``, hands the CPU its carry and countdown before a
+    poll and adds the hits of the first ``_c`` summed accesses, and it
+    returns the new offsets, run start, poll offset (``_c0``) and miss
+    counts.
 
     ``_touch(_avp, _apa, _awy, _atg, _mt, _mc)`` runs the update half
     of an access that repeats the previous access's line, on that
@@ -243,31 +250,37 @@ def _poll_code(inline):
     calls it for such an access after a poll in the pass.
     """
     key = None if inline is None else inline.signature
-    if key in _POLL_CODE:
-        return _POLL_CODE[key]
-    counts = inline is not None
-    params = "_k, _c0, _c, _mt, _mc, _j=0" if counts else "_k, _c0, _j=0"
-    lines = ([f"def _poll(vm, thread, frame, {params}):",
-              "    if _k > _c0:",
-              "        _charge_block(_CLS[_c0:_k], _BAS[_c0:_k])"]
-             + (_indent(["_c += _PER * _j", *inline.hits("_c")])
-                if counts else [])
-             + _indent(["_d = _N * _j + _k + 1",
-                        "vm.instruction_count += _d",
-                        "thread.executed += _d",
-                        "function = frame.function",
-                        "pc = frame.pc = _HEAD + _k",
-                        "vm.poll(thread, function, pc, function.ops[pc])",
-                        "vm.instruction_count -= _d",
-                        "thread.executed -= _d",
-                        "return _k + vm.config.poll_interval, _k"
-                        + (", _c, _c" if counts else "")]))
-    if counts:
-        lines += ([f"def _touch({', '.join(_PLAIN)}, _mt, _mc):"]
-                  + _indent([*inline.update(_PLAIN, first=False),
-                             "return _mt, _mc"]))
-    code = _POLL_CODE[key] = compile("\n".join(lines), "<tracejit poll>",
-                                     "exec")
+    if key in _EVENT_CODE:
+        return _EVENT_CODE[key]
+    published = ["vm.instruction_count += _d", "thread.executed += _d"]
+    if inline is not None:
+        published.append("_cpu._instructions += _d - 1")
+    poll = (["_d = _N * _j + _k + 1", *published,
+             "function = frame.function", "pc = frame.pc = _HEAD + _k",
+             "vm.poll(thread, function, pc, function.ops[pc])"]
+            + [line.replace("+=", "-=") for line in published])
+    if inline is None:
+        lines = (["def _event(vm, thread, frame, _k, _j=0):"]
+                 + _indent(poll + ["return _k + vm.config.poll_interval"]))
+    else:
+        poll = (["_cpu._frac = _cf", "_cpu._until_redraw = _u + 1 - _k",
+                 "_c += _PER * _j", *inline.hits("_c"), "_mt = _mc = _c"]
+                + poll + ["_p = _k + vm.config.poll_interval", "_c0 = _k"])
+        lines = (["def _event(vm, thread, frame, _k, _s, _p, _u, _cc, _cf0,"
+                  " _cf, _ps0, _c0, _c, _mt, _mc, _j=0):"]
+                 + _indent([inline.cycles("_s"), "if _k == _p:"]
+                           + _indent(poll)
+                           + ["if _k == _u:",
+                              "    _cpu._recompute_noise()",
+                              "    _cc = _cpu._combined",
+                              "    _u = _k + _cpu.config.speculation_period",
+                              "return (_p, _u, _p if _p < _u else _u, _s,"
+                              " _cf, _cc, _c0, _mt, _mc)"])
+                 + [f"def _touch({', '.join(_PLAIN)}, _mt, _mc):"]
+                 + _indent([*inline.update(_PLAIN, first=False),
+                            "return _mt, _mc"]))
+    code = _EVENT_CODE[key] = compile("\n".join(lines), "<tracejit event>",
+                                      "exec")
     return code
 
 
@@ -290,12 +303,13 @@ def _build_region(function: "Function", head: int,
     dispatch either clears the frame's stack or discards the frame, so
     the mid-block stack contents were never live.
 
-    Every instruction starts with the check for an in-block poll: the
+    Every instruction starts with the check for an in-block event: the
     caller passes ``_p``, the offset within the call of the instruction
-    the next poll counts, and at that offset the block runs ``_poll``
-    (see :func:`_poll_code`) before the instruction's own work.  A pass
-    with a poll in it charges the rest from the poll's offset ``_c0``
-    through ``charge_block``.
+    the next poll counts, and a batched block keeps ``_u``, that of the
+    next noise redraw.  At either the block runs ``_event`` (see
+    :func:`_event_code`), then the instruction's charge: a batched
+    block steps the carry, and adds the open run's cycles at each event
+    and exit; an unbatched one calls ``_charge`` (DESIGN §4.3).
     """
     ops = function.ops
     args = function.args
@@ -353,31 +367,28 @@ def _build_region(function: "Function", head: int,
     loops = (terminator_pc is not None and args[terminator_pc] == head
              and depth == 0)
 
-    # Pre-summed charging data.  ``classes`` drive the generic per-
-    # instruction replay, ``bases`` the batched exact loop; ``total`` is
-    # the noise-free base sum the fast path charges in one add.  Base
-    # costs come from the platform so the block's numbers match whatever
-    # cost table the run uses.
+    # Noise-free base costs, from the platform so the block's numbers
+    # match whatever cost table the run uses; ``presum[k]`` is the base
+    # total of the first ``k`` instructions.
     classes = tuple(OPCODE_COST_LIST[ops[pc]] for pc in picked)
     base_list = platform.instruction_base_costs()
     if base_list is not None:
         bases = tuple(base_list[c] for c in classes)
     else:
         bases = (0,) * n
-    total = sum(bases)
-    #: fault offset -> (class prefix, base prefix, base prefix sum,
-    #: accesses before the fault)
-    prefix: dict[int, tuple] = {}
+    presum = (0, *itertools.accumulate(bases))
+    total = presum[n]
+    #: fault offset -> accesses before the fault
+    prefix: dict[int, int] = {}
 
     # Everything the generated code needs that is *not* per-run state:
-    # run-local closures (_mem/_fetch/_branch/_charge_block), the
+    # run-local closures (_mem/_fetch/_branch/_charge), the
     # memory-template objects and the _B counter block are bound by
     # compile_region when it instantiates the cached artifact.
     consts = {
         "_GT": GuestThrow,
         "_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos,
-        "_CLS": classes, "_BAS": bases, "_TOT": total,
-        "_PFX": prefix, "_N": n, "_HEAD": head,
+        "_PS": presum, "_PFX": prefix, "_N": n, "_HEAD": head,
     }
 
     # Platforms may provide source templates for the memory path and the
@@ -445,9 +456,10 @@ def _build_region(function: "Function", head: int,
     last_names = _PLAIN  # the locals that access translated into
     counted = 0         # accesses on the path whose hits an exit sums
     translated = set()  # captured lines translated on the path
+    touches = False     # some repeat runs its update half after a poll
 
     def access(expr, key, call="_mem") -> list[str]:
-        nonlocal last_key, last_names, counted, counts
+        nonlocal last_key, last_names, counted, counts, touches
         if inline is None:
             return [f"{call}({expr})"]
         previous, last_key = last_key, key
@@ -459,6 +471,7 @@ def _build_region(function: "Function", head: int,
             # The LRU moves of a repeat are no-ops, unless a poll ran
             # since the previous access.  After a poll in the pass they
             # run: the moves are no-ops too if the poll came first.
+            touches = True
             return [f"if _c0: _mt, _mc = "
                     f"_touch({', '.join(last_names)}, _mt, _mc)"]
         names = captured.get(key)
@@ -504,7 +517,8 @@ def _build_region(function: "Function", head: int,
                  + [f"vm.instruction_count += {count}",
                     f"thread.executed += {count}",
                     f"_B.instructions += {count}",
-                    f"_B.cycles += {plus(total, cycles)}"])
+                    f"_B.cycles += {plus(total, cycles)}"]
+                 + ([f"_cpu._instructions += {count}"] if inline else []))
         entries = plus(1, int(counter == "entries"))
         if entries != "0":
             lines.append(f"_B.entries += {entries}")
@@ -516,30 +530,34 @@ def _build_region(function: "Function", head: int,
         """Lines adding the hits of ``accesses`` summed accesses."""
         return [] if accesses in ("0", 0) else inline.hits(str(accesses))
 
-    def poll_check(k: int) -> str:
-        """The in-block poll at offset ``k``, before the instruction's
-        own work, with the accesses the path summed before it."""
-        call = f"vm, thread, frame, {k}, _c0"
-        taken = "_p, _c0"
-        if inline is not None:
-            call += f", {counted}, _mt, _mc"
-            taken += ", _mt, _mc"
-        if loops:
-            call += ", _R - _r"
-        return f"if _p == {k}: {taken} = _poll({call})"
+    def check(k: int) -> str:
+        """The in-block event at offset ``k``, before the instruction's
+        own charge, with the accesses the path summed before it."""
+        j = ", _R - _r" if loops else ""
+        if inline is None:
+            return f"if _p == {k}: _p = _event(vm, thread, frame, {k}{j})"
+        return (f"if _e == {k}: _p, _u, _e, _ps0, _cf0, _cc, _c0, _mt, _mc"
+                f" = _event(vm, thread, frame, {k}, {presum[k]}, _p, _u,"
+                f" _cc, _cf0, _cf, _ps0, _c0, {counted}, _mt, _mc{j})")
 
-    def prefix_charge(classes: str, bases: str, total) -> str:
-        """The charge of the pass prefix ``classes`` (base costs
-        ``bases``, summing to ``total``), from the offset of an in-block
-        poll when one ran in the pass."""
-        return (f"_charge_block({classes}[_c0:], {bases}[_c0:]) if _c0"
-                f" else _charge_block({classes}, {bases}, {total})")
+    def settle(j) -> list[str]:
+        """Lines charging the open run up to offset ``j`` of the pass,
+        from its static prefix sum, and handing the CPU its carry and
+        redraw countdown there."""
+        if inline is None:
+            return []
+        at, left = ((presum[j], f"_u - {j - 1}") if isinstance(j, int)
+                    else (f"_PS[{j}]", f"_u + 1 - {j}"))
+        return [inline.cycles(at), "_cpu._frac = _cf",
+                f"_cpu._until_redraw = {left}"]
 
     for k, pc in enumerate(picked):
         op = ops[pc]
         row = ROWS[op]
         arg = args[pc]
-        body.append(poll_check(k))
+        body.append(check(k))
+        body.append(f"_charge({int(classes[k])})" if inline is None
+                    else inline.carry(bases[k]))
         if pc == terminator_pc:
             if row.branch:
                 cond_value = row.branch.format(v=vstack.pop())
@@ -551,18 +569,13 @@ def _build_region(function: "Function", head: int,
             # retired instructions, and the branch target fetched —
             # byte-for-byte what the interpreter would have done.
             gsite = function.index * CODE_STRIDE + pc
-            pfx_total = sum(bases[:k + 1])
-            consts[f"_GC{k}"] = classes[:k + 1]
-            consts[f"_GB{k}"] = bases[:k + 1]
             body.append(f"_tk = {row.branch.format(v=vstack.pop())}")
             body.append(f"_branch({gsite}, _tk)")
             body.append("if _tk:")
             fetch, fetched = exit_fetch(code_window + arg * 4)
-            body += _indent(_pushback(vstack)
-                            + [prefix_charge(f"_GC{k}", f"_GB{k}",
-                                             pfx_total),
-                               f"frame.pc = {arg}"] + fetch
-                            + leave(k + 1, pfx_total, counted + fetched,
+            body += _indent(_pushback(vstack) + settle(k + 1)
+                            + [f"frame.pc = {arg}"] + fetch
+                            + leave(k + 1, presum[k + 1], counted + fetched,
                                     "side_exits") + ["return"])
             continue
         # The row's semantics over the registerized stack: operands are
@@ -584,8 +597,7 @@ def _build_region(function: "Function", head: int,
             # A fault site: record the offset for the side exit.  Its
             # throw comes before its own access.
             has_faults = True
-            prefix[k] = (classes[:k + 1], bases[:k + 1],
-                         sum(bases[:k + 1]), counted)
+            prefix[k] = counted
             body.append(f"_i = {k}")
         if "ref" in row.pops:
             uses_heap = True
@@ -612,55 +624,52 @@ def _build_region(function: "Function", head: int,
             body += (render_wrap(f"_t{k} = {{}}", expr) if row.wrap
                      else [f"_t{k} = {expr}"])
 
-    # The block charge runs inline in closed form unless a noise redraw
-    # falls inside the block; side exits charge their prefix through
-    # ``charge_block``, and so does a pass after an in-block poll, from
-    # the poll's offset (a self-loop's next pass starts from 0 again).
-    charge = "_charge_block(_CLS, _BAS, _TOT)"
-    charge_lines = (["if _c0:", "    _charge_block(_CLS[_c0:], _BAS[_c0:])"]
-                    + (["    _c0 = 0"] if loops else []) + ["else:"]
-                    + _indent([charge] if inline is None
-                              else inline.charge(bases, charge)))
     pushback = _pushback(vstack)
-
     entry_names = [f"_e{i}" for i in range(need)]
     rebind = []
     if need and vstack != entry_names:
         rebind.append(f"{', '.join(entry_names)} = {', '.join(vstack)}")
 
     if terminator_pc is None:
-        epilogue = (pushback + charge_lines
+        epilogue = (pushback + settle(n)
                     + leave(n, total, counted, "entries")
                     + [f"frame.pc = {picked[-1] + 1}"])
     elif loops:
-        # while-True epilogue: charge this iteration, then either take
-        # the back edge in-function (budget permitting) or break out
-        # with the counters added and frame.pc set for the interpreter.
+        # while-True epilogue: either take the back edge in-function
+        # (budget permitting), with the event offsets and the open run's
+        # start moved back by the pass, or break out with the run
+        # charged, the counters added and frame.pc set for the
+        # interpreter.
         target = args[terminator_pc]
         passed = counted
+        shift = [f"_p -= {n}"]
+        if inline is not None:
+            shift += [f"_u -= {n}", f"_e -= {n}", f"_ps0 -= {total}"]
+            shift += ["_c0 = 0"] if touches else []
         taken = (access(code_window + target * 4, back_key, "_fetch")
                  + ["_r -= 1", "if _r > 0:"]
-                 + _indent([f"_p -= {n}"] + rebind + ["continue"])
-                 + leave(0, 0, 0, None) + [f"frame.pc = {target}"])
+                 + _indent(shift + rebind + ["continue"])
+                 + settle(n) + leave(0, 0, 0, None)
+                 + [f"frame.pc = {target}"])
         if cond_value is not None:
             site_pc = function.index * CODE_STRIDE + terminator_pc
             taken = ([f"_tk = {cond_value}", f"_branch({site_pc}, _tk)",
                       "if _tk:"] + _indent(taken) + ["else:"]
-                     + _indent(leave(n, total, passed, "entries")
+                     + _indent(settle(n) + leave(n, total, passed, "entries")
                                + [f"frame.pc = {terminator_pc + 1}"]))
-        epilogue = charge_lines + taken + ["break"]
+        epilogue = taken + ["break"]
     else:
         target = args[terminator_pc]
         fetch, fetched = exit_fetch(code_window + target * 4)
         if cond_value is None:
-            epilogue = (pushback + charge_lines + [f"frame.pc = {target}"]
+            epilogue = (pushback + settle(n) + [f"frame.pc = {target}"]
                         + fetch
                         + leave(n, total, counted + fetched, "entries"))
         else:
             # Both ways out retire the same pass; only the taken one
             # fetches.
             site_pc = function.index * CODE_STRIDE + terminator_pc
-            epilogue = (pushback + charge_lines
+            epilogue = (pushback + settle(n)
                         + leave(n, total, 0, "entries")
                         + [f"_tk = {cond_value}", f"_branch({site_pc}, _tk)",
                            "if _tk:"]
@@ -688,17 +697,17 @@ def _build_region(function: "Function", head: int,
         prologue.append("_hget = vm.heap.get")
     if loops:
         prologue.append("_R = _r")
-    prologue.append("_c0 = 0" if inline is None else "_c0 = _mt = _mc = 0")
+    if inline is not None:
+        prologue += _OPEN
 
     # A self-loop body iterates in-function and writes the stack back
     # once it leaves; a throw anywhere leaves through the side exit.
     main = ["while True:"] + _indent(body + epilogue) if loops else body
     if has_faults:
         main = (["_i = 0", "try:"] + _indent(main) + ["except _GT:"]
-                + _indent(["_xc, _xb, _xt, _xa = _PFX[_i]", "_n = _i + 1",
-                           prefix_charge("_xc", "_xb", "_xt"),
-                           *leave("_n", "_xt", "_xa" if counts else 0,
-                                  "side_exits"),
+                + _indent(["_n = _i + 1", *settle("_n"),
+                           *leave("_n", "_PS[_n]",
+                                  "_PFX[_i]" if counts else 0, "side_exits"),
                            f"frame.pc = {head} + _n", "raise"]))
     params = "vm, thread, frame, _p" + (", _r" if loops else "")
     source = "\n".join([f"def _block({params}):"] + _indent(

@@ -318,17 +318,20 @@ def _twin(fires, until_redraw, sigma, background):
 
 
 def _world_state(machine):
-    """Everything an idle poll may touch, and the next draw of every
-    noise stream."""
+    """Everything an idle poll may touch, the next draw of every noise
+    stream but the CPU's, and the CPU's redraw position: its stream's
+    state and the factors left of its batch (a next draw would hide a
+    difference of under a batch in the redraws made)."""
     machine.platform.flush_charges()
-    streams = (machine.bus._rng, machine.cpu._rng, machine._irq_rng,
-               machine._preempt_rng, machine._co_tenant_rng)
+    streams = (machine.bus._rng, machine._irq_rng, machine._preempt_rng,
+               machine._co_tenant_rng)
+    cpu = machine.cpu
     return (machine.clock.cycles, machine.ledger.totals(),
             machine.bus.traffic_level,
             list(machine.irq_controller._next_fire),
-            machine.irq_controller.firings, machine.cpu._instructions,
-            machine.cpu._until_redraw, machine.cpu._combined,
-            machine.tlb.hits, machine.l1.hits,
+            machine.irq_controller.firings, cpu._instructions,
+            cpu._until_redraw, cpu._combined, cpu._rng._state,
+            len(cpu._factors), machine.tlb.hits, machine.l1.hits,
             [stream.next_u64() for stream in streams])
 
 

@@ -47,6 +47,15 @@ class TestSplitMix64:
         parent.next_u64()
         assert child.next_u64() != first  # stream continues
 
+    @given(seed=st.integers(0, 2 ** 64 - 1), count=st.integers(0, 80))
+    def test_randoms_equal_that_many_random_calls(self, seed, count):
+        """The batch draw yields what ``count`` calls of ``random``
+        yield and leaves the stream where they leave it."""
+        batch, calls = SplitMix64(seed), SplitMix64(seed)
+        assert batch.randoms(count) == [calls.random()
+                                        for _ in range(count)]
+        assert batch._state == calls._state
+
     def test_random_in_unit_interval(self):
         rng = SplitMix64(11)
         for _ in range(1000):

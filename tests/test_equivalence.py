@@ -22,6 +22,7 @@ those with this process's baselines.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -29,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -51,7 +53,7 @@ from repro.machine.noise import NOISE_SCENARIOS, scenario_config
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.service import AuditService, FleetService, FleetTopology, \
-    default_tenants
+    daemon, default_tenants, scheduler
 
 #: The switches the ``no-jit`` and ``no-batch`` knobs set.
 ENV = {"no-jit": "REPRO_NO_JIT", "no-batch": "REPRO_NO_BATCH"}
@@ -143,24 +145,48 @@ def resilient(severity=0) -> dict:
     return parts
 
 
+@contextlib.contextmanager
+def _service_runs():
+    """Collect the fingerprint of every play and replay the service
+    layers run, in submission order: they all go through the
+    ``run_fleet`` that ``service.daemon`` (plays) and
+    ``service.scheduler`` (replays) import, whose results come back to
+    this process from pool workers too.  Verdicts alone would not show
+    a drift of a few cycles."""
+    runs = []
+
+    def recording(tasks, jobs=None, worker=parallel.execute_spec):
+        results = parallel.run_fleet(tasks, jobs=jobs, worker=worker)
+        runs.extend(getattr(out, "result", out).fingerprint()
+                    for out in results)
+        return results
+
+    with mock.patch.object(daemon, "run_fleet", recording), \
+            mock.patch.object(scheduler, "run_fleet", recording):
+        yield runs
+
+
 def serve(jobs=1) -> dict:
-    """``reproduce serve``: 3 tenants, 2 epochs."""
-    report = AuditService(default_tenants(3, requests=REQUESTS), epochs=2,
-                          seed=SERVICE_SEED,
-                          registry=MetricsRegistry()).run(jobs=jobs)
-    return {"verdicts": report.verdicts_dict()}
+    """``reproduce serve``: 3 tenants, 2 epochs; the verdicts and every
+    run's fingerprint."""
+    with _service_runs() as runs:
+        report = AuditService(default_tenants(3, requests=REQUESTS),
+                              epochs=2, seed=SERVICE_SEED,
+                              registry=MetricsRegistry()).run(jobs=jobs)
+    return {"verdicts": report.verdicts_dict(), "runs": runs}
 
 
 def fleet(nodes: int, jobs=1) -> dict:
-    """``reproduce fleet-audit`` under node chaos: the verdicts and the
-    fleet trace's Chrome and NDJSON exports."""
+    """``reproduce fleet-audit`` under node chaos: the verdicts, every
+    run's fingerprint and the fleet trace's Chrome and NDJSON exports."""
     service = FleetService(default_tenants(3, requests=REQUESTS),
                            topology=FleetTopology(num_nodes=nodes),
                            epochs=2, seed=SERVICE_SEED,
                            chaos=NodeChaosPlan.parse(CHAOS),
                            registry=MetricsRegistry())
-    report = service.run(jobs=jobs)
-    return {"verdicts": report.verdicts_dict(),
+    with _service_runs() as runs:
+        report = service.run(jobs=jobs)
+    return {"verdicts": report.verdicts_dict(), "runs": runs,
             "trace": service.dist.to_chrome_trace(),
             "ndjson": report.trace_ndjson}
 

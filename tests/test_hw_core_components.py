@@ -9,7 +9,7 @@ from repro.errors import HardwareConfigError
 from repro.hw.branch import BranchPredictor, BranchPredictorConfig
 from repro.hw.bus import BusConfig, MemoryBus
 from repro.hw.clock import VirtualClock
-from repro.hw.cpu import (CostClass, CpuModel, CpuTimingConfig,
+from repro.hw.cpu import (NOISE_BATCH, CostClass, CpuModel, CpuTimingConfig,
                           INTERPRETER_COSTS, JIT_COSTS)
 from repro.hw.interrupts import InterruptController, IrqSource, standard_sources
 from repro.hw.memory import AddressSpace, FrameAllocator, PAGE_SIZE
@@ -277,7 +277,54 @@ class TestBranchPredictor:
         assert a.state_fingerprint() == b.state_fingerprint()
 
 
+def _reference_factors(config, rng, count):
+    """The factors of ``count`` noise redraws drawn one redraw at a
+    time, as the CPU composed them before it drew in batches."""
+    factors = []
+    for _ in range(count):
+        if config.freq_scaling_enabled or config.turbo_enabled:
+            span = config.freq_span * (1.0 if config.freq_scaling_enabled
+                                       else 0.4)
+            freq = 1.0 + rng.uniform(-span, span)
+        else:
+            freq = 1.0
+        sigma = config.speculation_sigma
+        if config.turbo_enabled:
+            sigma *= 6.0
+        spec = max(0.8, 1.0 + rng.normal(0.0, sigma)) if sigma > 0.0 else 1.0
+        factors.append(freq * spec)
+    return factors
+
+
 class TestCpuModel:
+    @pytest.mark.parametrize("zero", (False, True), ids=("split", "zero"))
+    @pytest.mark.parametrize("scaling,turbo", [(False, False), (True, False),
+                                               (False, True), (True, True)])
+    @pytest.mark.parametrize("sigma", (0.0, 0.004, 0.2))
+    def test_batched_factors_match_per_redraw_draws(self, sigma, scaling,
+                                                    turbo, zero):
+        """The factors the CPU draws in batches of ``NOISE_BATCH`` equal
+        the per-redraw composition, bit for bit, across several batches:
+        with and without speculation noise (0.2 hits the 0.8 clamp),
+        frequency scaling and turbo, on a seeded stream and on a
+        ``ZeroNoise`` one, whose normal is its mean."""
+        config = CpuTimingConfig(speculation_sigma=sigma,
+                                 freq_scaling_enabled=scaling,
+                                 turbo_enabled=turbo)
+
+        def rng():
+            return ZeroNoise() if zero else SplitMix64(17)
+
+        cpu = CpuModel(config, rng())
+        drawn = [cpu._combined]
+        for _ in range(3 * NOISE_BATCH + 5):
+            cpu._recompute_noise()
+            drawn.append(cpu._combined)
+        reference = _reference_factors(config, rng(), len(drawn))
+        assert [f.hex() for f in drawn] == [f.hex() for f in reference]
+        if sigma == 0.2 and not (scaling or turbo or zero):
+            assert 0.8 in drawn     # the clamp
+
     def test_noise_free_costs_are_base(self):
         cpu = CpuModel(CpuTimingConfig(speculation_sigma=0.0), ZeroNoise())
         for cls in CostClass:

@@ -153,6 +153,35 @@ class TestReproduceCli:
         assert all("ts" in e or e["ph"] == "M" for e in events)
 
 
+class TestServiceJobs:
+    """``--jobs`` is serial outside ``fleet`` unless given: ``serve``
+    and ``fleet-audit`` hand ``run_fleet`` ``jobs=1`` by default."""
+
+    @pytest.mark.parametrize("jobs", (None, 3), ids=("default", "jobs-3"))
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--tenants", "2", "--epochs", "1", "--requests", "2"],
+        ["fleet-audit", "--nodes", "2", "--tenants", "2", "--epochs", "1",
+         "--requests", "2"],
+    ], ids=("serve", "fleet-audit"))
+    def test_run_fleet_gets_the_requested_jobs(self, monkeypatch, capsys,
+                                               argv, jobs):
+        from repro.analysis.parallel import run_fleet
+        from repro.service import daemon, scheduler
+
+        received = []
+
+        def recording(tasks, jobs=None, **kwargs):
+            received.append(jobs)
+            # Serial either way: jobs changes only wall-clock time.
+            return run_fleet(tasks, jobs=1, **kwargs)
+
+        monkeypatch.setattr(daemon, "run_fleet", recording)
+        monkeypatch.setattr(scheduler, "run_fleet", recording)
+        main(argv + ([] if jobs is None else ["--jobs", str(jobs)]))
+        capsys.readouterr()
+        assert received and set(received) == {jobs or 1}
+
+
 class TestExitCodeContract:
     """Every verdict-bearing subcommand: zero iff nothing was flagged."""
 

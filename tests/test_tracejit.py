@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import ast
 import collections
+import itertools
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,13 +33,13 @@ from repro.hw.interrupts import IrqSource
 from repro.machine import MachineConfig, NoiseScenario, scenario_config
 from repro.machine.config import RuntimeKind
 from repro.machine.machine import Machine
-from repro.machine.platform import _ACC_INSTR, TimedCorePlatform
+from repro.machine.platform import _ACC_INSTR
 from repro.obs import Observability
 from repro.vm import tracejit
 from repro.vm.heap import HEAP_BASE, GuestThrow
 from repro.vm.interpreter import Interpreter
 from repro.vm.isa import ROWS, STACK_BASE
-from repro.vm.tracejit import (_MIN_BLOCK, MAX_BLOCK, _build_region,
+from repro.vm.tracejit import (_MIN_BLOCK, _build_region,
                                _static, compile_region, jit_enabled)
 
 REQUESTS = 5
@@ -113,52 +115,6 @@ class TestUnits:
         assert jit_enabled()
         monkeypatch.setenv("REPRO_NO_JIT", "1")
         assert not jit_enabled()
-
-    def test_charge_block_matches_per_instruction_charges(self):
-        """The batched block charge replays the noise stream exactly:
-        same classes through ``charge_block`` and per-``charge`` on
-        identically seeded machines leave identical clocks."""
-        from repro.hw.cpu import CostClass
-
-        one = Machine(MachineConfig(), seed=5, mode="play")
-        two = Machine(MachineConfig(), seed=5, mode="play")
-        base = one.platform.instruction_base_costs()
-        assert base is not None
-        # Long enough to cross several speculation-noise redraw periods.
-        classes = tuple(CostClass(i % len(base)) for i in range(1000))
-        bases = tuple(base[c] for c in classes)
-
-        for cls in classes:
-            one.platform.charge(cls)
-        two.platform.charge_block(classes, bases, sum(bases))
-        one.platform.flush_charges()
-        two.platform.flush_charges()
-        assert one.clock.cycles == two.clock.cycles
-        assert one.clock.cycles > 0
-
-    @pytest.mark.parametrize("batched", (True, False))
-    @pytest.mark.parametrize("sigma", (0.0, 0.004))
-    def test_charge_block_derives_omitted_costs(self, monkeypatch, sigma,
-                                                batched):
-        """``charge_block(classes)`` charges what one ``charge`` per
-        instruction does.  A noise-free batched core used to take its
-        fast path and add the ``base_total`` default of 0."""
-        if batched:
-            monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        classes = (CostClass.ALU,) * 5
-        config = MachineConfig(speculation_sigma=sigma)
-        one = Machine(config, seed=5, mode="play")
-        two = Machine(config, seed=5, mode="play")
-        for cls in classes:
-            one.platform.charge(cls)
-        two.platform.charge_block(classes)
-        one.platform.flush_charges()
-        two.platform.flush_charges()
-        assert two.clock.cycles == one.clock.cycles
-        if sigma == 0.0:
-            assert one.clock.cycles == 70
 
     def test_compile_region_skips_tiny_regions(self):
         from repro.asm import assemble
@@ -341,6 +297,31 @@ CARRIES = st.one_of(st.sampled_from((0.0, 2.0 ** -52, 1.0 - 2.0 ** -52)),
 
 
 
+def _redraw_position(cpu):
+    """Where the CPU is in its noise stream: the stream's state and how
+    many drawn factors are left, which tells a redraw-count mismatch a
+    batch would hide."""
+    return cpu._rng._state, len(cpu._factors)
+
+
+def _in_place_charge(inline, bases, first_poll) -> str:
+    """A batched block's charge of the instruction stream ``bases``, as
+    ``_build_region`` renders it around the rows: the prologue, then
+    per instruction the event check and the carry step, then the exit's
+    charge and hand-back, with the first poll at offset ``first_poll``."""
+    presum = (0, *itertools.accumulate(bases))
+    n = len(bases)
+    lines = [f"_p = {first_poll}", *tracejit._OPEN]
+    for k, base in enumerate(bases):
+        lines += [f"if _e == {k}: _p, _u, _e, _ps0, _cf0, _cc, _c0, _mt, _mc"
+                  f" = _event(vm, thread, frame, {k}, {presum[k]}, _p, _u,"
+                  f" _cc, _cf0, _cf, _ps0, _c0, 0, _mt, _mc)",
+                  inline.carry(base)]
+    return "\n".join(lines + [inline.cycles(presum[n]), "_cpu._frac = _cf",
+                              f"_cpu._until_redraw = _u + 1 - {n}",
+                              f"_cpu._instructions += {n}"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(runtime=st.sampled_from((RuntimeKind.SANITY, RuntimeKind.ORACLE_JIT)),
        stream=st.lists(st.sampled_from(list(CostClass)), min_size=192,
@@ -348,55 +329,72 @@ CARRIES = st.one_of(st.sampled_from((0.0, 2.0 ** -52, 1.0 - 2.0 ** -52)),
        length=st.integers(1, 192),
        sigma=st.sampled_from((0.0, 0.004)), turbo=st.booleans(),
        freq_scaling=st.booleans(), carry=CARRIES,
-       until=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
+       until=st.integers(1, 64), first_poll=st.integers(0, 400),
+       interval=st.integers(1, 256), seed=st.integers(0, 2 ** 32))
 def test_closed_form_charge_matches_instruction_cost(runtime, stream, length,
                                                      sigma, turbo,
                                                      freq_scaling, carry,
-                                                     until, seed):
+                                                     until, first_poll,
+                                                     interval, seed):
     """Every batched charge leaves a CPU exactly where ``len(bases)``
     calls of ``CpuModel.instruction_cost`` do: the same instruction
-    cycles, carry bits, redraw countdown, instruction count and next
-    noise draw.  That is ``charge_block`` over a stream crossing up to
-    three noise redraws, one batched ``charge`` per instruction, and,
-    for a stream a block can hold, the block charge a compiled block
-    inlines (``render_charge``)."""
+    cycles, carry bits, redraw countdown, instruction count and redraw
+    position.  That is a compiled block's in-place charge over a stream
+    crossing up to three noise redraws, with its runs also cut at polls
+    (each of which hands the CPU exactly the reference's state before
+    the polled instruction), and one batched ``charge`` per
+    instruction."""
     config = MachineConfig(runtime=runtime, speculation_sigma=sigma,
                            turbo=turbo, freq_scaling=freq_scaling)
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv("REPRO_NO_BATCH", raising=False)
         machines = [Machine(config, seed=seed, mode="play")
-                    for _ in range(4)]
+                    for _ in range(3)]
     for machine in machines:
         machine.cpu._frac = carry
         machine.cpu._until_redraw = until
-    reference, rendered, blocked, charged = machines
+    reference, rendered, charged = machines
     classes = tuple(stream[:length])
-    bases = tuple(reference.cpu._cost_list[c] for c in classes)
     start = {m: m.platform._acc[_ACC_INSTR] for m in machines}
-    expected = sum(reference.cpu.instruction_cost(c) for c in classes)
+    cpu = reference.cpu
+    before, costs = [], []
+    for cost_class in classes:
+        before.append((sum(costs), cpu._frac.hex(), cpu._until_redraw,
+                       cpu._instructions, cpu._combined.hex()))
+        costs.append(cpu.instruction_cost(cost_class))
 
-    blocked.platform.charge_block(classes, bases, sum(bases))
     for cost_class in classes:
         charged.platform.charge(cost_class)
-    checked = [blocked, charged]
-    if length <= MAX_BLOCK:
-        inline = rendered.platform.mem_inline()
-        namespace = dict(inline.namespace, _CLS=classes, _BAS=bases,
-                         _TOT=sum(bases),
-                         _charge_block=rendered.platform.charge_block)
-        exec("\n".join(inline.charge(bases,
-                                     "_charge_block(_CLS, _BAS, _TOT)")),
-             namespace)
-        checked.append(rendered)
+    inline = rendered.platform.mem_inline()
+    polled = []
 
-    next_draw = reference.cpu._rng.next_u64()
-    for machine in checked:
+    def poll(thread, function, pc, op):
+        cpu = rendered.cpu
+        polled.append((pc, rendered.platform._acc[_ACC_INSTR]
+                       - start[rendered], cpu._frac.hex(), cpu._until_redraw,
+                       cpu._instructions, cpu._combined.hex()))
+
+    namespace = dict(
+        inline.namespace, _N=length, _HEAD=0, _PER=0,
+        vm=SimpleNamespace(instruction_count=0, poll=poll,
+                           config=SimpleNamespace(poll_interval=interval)),
+        thread=SimpleNamespace(executed=0),
+        frame=SimpleNamespace(pc=0, function=SimpleNamespace(
+            ops=[0] * length)))
+    exec(tracejit._event_code(inline), namespace)  # noqa: S102
+    exec(_in_place_charge(inline, [cpu._cost_list[c] for c in classes],
+                          first_poll), namespace)  # noqa: S102
+    assert polled == [(k, *before[k])
+                      for k in range(first_poll, length, interval)]
+
+    for machine in (rendered, charged):
         cpu = machine.cpu
-        assert machine.platform._acc[_ACC_INSTR] - start[machine] == expected
+        assert machine.platform._acc[_ACC_INSTR] - start[machine] \
+            == sum(costs)
         assert cpu._frac.hex() == reference.cpu._frac.hex()
         assert cpu._until_redraw == reference.cpu._until_redraw
         assert cpu._instructions == reference.cpu._instructions
-        assert cpu._rng.next_u64() == next_draw
+        assert _redraw_position(cpu) == _redraw_position(reference.cpu)
 
 
 def _l1_line(line_bytes: int) -> MachineConfig:
@@ -583,35 +581,45 @@ def _poll_runs(programs, config, irqs):
 
 
 def _count_in_block_polls(patch) -> collections.Counter:
-    """Count the polls compiled blocks run: inside a self-loop iteration
-    after the first, with a noise redraw in the pass before the poll or
-    after it, taking an IRQ or a preemption that pollutes the caches,
-    and the block calls that throw after one."""
+    """Count the events compiled blocks run, by where they fall: polls
+    inside a self-loop iteration after the first, with a noise redraw
+    in the pass before the poll or after it (or at the polled
+    instruction), taking an IRQ or a preemption that pollutes the
+    caches, and block calls that throw after one; the redraws blocks
+    run; and each block's calls of ``_event`` (``event_calls``) and of
+    the per-instruction ``_charge`` (``charge_calls``)."""
     seen: collections.Counter = collections.Counter()
     poll = Interpreter.poll
     pollute = CacheHierarchy.pollute
+    redraw = CpuModel._recompute_noise
 
-    def counted(self, thread, function, pc, op):
-        caller = sys._getframe(1)
+    def event_frame():
+        caller = sys._getframe(2)
         while caller.f_code.co_filename == __file__:    # other wrappers
             caller = caller.f_back
-        if caller.f_code.co_name != "_poll":
+        return caller if caller.f_code.co_name == "_event" else None
+
+    def counted(self, thread, function, pc, op):
+        caller = event_frame()
+        if caller is None:
             return poll(self, thread, function, pc, op)
-        k, start, j = (caller.f_locals[name] for name in ("_k", "_c0", "_j"))
-        cpu = self.platform.cpu
-        left = cpu._until_redraw
+        k, u, j = (caller.f_locals.get(name) for name in ("_k", "_u", "_j"))
         seen["in_block"] += 1
         seen["in_later_iteration"] += j > 0
-        # The pass is charged up to k: a redraw in it leaves the
-        # countdown that many steps below its restart value.
-        seen["redraw_before"] += \
-            cpu.config.speculation_period + 1 - left <= k - start
-        seen["redraw_after"] += left <= caller.f_globals["_N"] - k
+        if u is not None:   # batched: ``_u`` is the next redraw's offset
+            period = self.platform.cpu.config.speculation_period
+            seen["redraw_before"] += u - period >= 0
+            seen["redraw_after"] += u < caller.f_globals["_N"]
+            seen["redraw_at_poll"] += u == k
         seen["in_poll"] = 1
         try:
             poll(self, thread, function, pc, op)
         finally:
             seen["in_poll"] = 0
+
+    def redrawing(self):
+        seen["redraw"] += event_frame() is not None
+        return redraw(self)
 
     def polluting(self, *args):
         seen["polluting"] += seen["in_poll"]
@@ -623,6 +631,15 @@ def _count_in_block_polls(patch) -> collections.Counter:
         block = compile_block(*args, **kwargs)
         if block is not None:
             run = block.run
+            namespace = run.__globals__
+            for name in ("_event", "_charge"):
+                call = namespace[name]
+
+                def calling(*call_args, _call=call, _name=name):
+                    seen[f"{_name[1:]}_calls"] += 1
+                    return _call(*call_args)
+
+                namespace[name] = calling
 
             def running(*call):
                 before = seen["in_block"]
@@ -636,6 +653,7 @@ def _count_in_block_polls(patch) -> collections.Counter:
         return block
 
     patch.setattr(Interpreter, "poll", counted)
+    patch.setattr(CpuModel, "_recompute_noise", redrawing)
     patch.setattr(CacheHierarchy, "pollute", polluting)
     patch.setattr(tracejit, "compile_region", compiling)
     return seen
@@ -656,10 +674,12 @@ def poll_placement(request, poll_programs):
         seen = _count_in_block_polls(patch)
         facts = _poll_runs(poll_programs, config, irqs)
     # Polls really ran inside blocks, inside self-loop iterations, on
-    # both sides of noise redraws and before guest throws; with IRQs or
-    # preemptions on the timed core, some took one.
+    # both sides of noise redraws and at a redrawing instruction, and
+    # before guest throws; blocks ran redraws of their own; with IRQs or
+    # preemptions on the timed core, some polls took one.
     assert seen["in_block"] > 0 and seen["in_later_iteration"] > 0, seen
     assert seen["redraw_before"] > 0 and seen["redraw_after"] > 0, seen
+    assert seen["redraw_at_poll"] > 0 and seen["redraw"] > 0, seen
     assert seen["throw_after_poll"] > 0, seen
     if name == "irqs-on-timed-core" or (name == "preemption"
                                         and interval <= 7):
@@ -687,35 +707,19 @@ class TestWorkCounts:
     def _batched(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
 
-    def test_block_charges_mostly_inline(self, nfs_program, monkeypatch):
-        """A compiled block calls ``charge_block`` only when a noise
-        redraw or a poll falls inside it or it leaves early; otherwise
-        its charge runs inline in closed form.  An in-block poll costs
-        at most two calls: the pass up to the poll, and the rest at the
-        exit or the next poll."""
-        calls = collections.Counter()
-        install = TimedCorePlatform._install_batched_paths
-
-        def counted(self):
-            install(self)
-            charge_block = self.charge_block
-
-            def counting(*args):
-                caller = sys._getframe(1)
-                calls["poll" if caller.f_code.co_name == "_poll"
-                      or caller.f_locals.get("_c0") else "other"] += 1
-                return charge_block(*args)
-
-            self.charge_block = counting
-
-        monkeypatch.setattr(TimedCorePlatform, "_install_batched_paths",
-                            counted)
+    def test_blocks_charge_in_place(self, nfs_program, monkeypatch):
+        """Compiled blocks charge every instruction in place: over the
+        round trip they make exactly one charging call, to ``_event``,
+        per instruction offset at which an in-block poll or noise redraw
+        falls (both at one offset share the call), and none per pass,
+        side exit or instruction."""
         seen = _count_in_block_polls(monkeypatch)
         trip = _round_trip(nfs_program)
         entries = trip.play.jit["entries"] + trip.replay.jit["entries"]
-        assert entries > 0 and seen["in_block"] > 0
-        assert calls["other"] <= 0.4 * entries
-        assert calls["poll"] <= 2 * seen["in_block"]
+        assert entries > 0 and seen["in_block"] > 0 and seen["redraw"] > 0
+        assert seen["event_calls"] == (seen["in_block"] + seen["redraw"]
+                                       - seen["redraw_at_poll"]), seen
+        assert seen["charge_calls"] == 0, seen
 
     def test_blocks_retire_most_kernel_instructions(self):
         """Over warm second plays of the five default-size SciMark
@@ -733,30 +737,36 @@ class TestWorkCounts:
         assert blocks >= 0.95 * total, retired
         assert all(j >= 0.9 * i for j, i in retired.values()), retired
 
-    @pytest.mark.parametrize("path", ("charge_block", "charge"))
+    @pytest.mark.parametrize("path", ("event", "charge"))
     def test_charges_call_only_the_noise_redraw(self, path):
-        """Over 1,000 instructions, ``charge_block`` (one stream, with
-        its base costs as a compiled block passes them) and ``charge``
-        (one call each) call one Python function:
-        ``CpuModel._recompute_noise``, once per noise redraw.  The carry
-        and the countdown are rendered inline."""
+        """Over 1,000 instructions, a compiled block's in-place charge
+        (its event helper, which the block calls only at the redraws
+        when no poll falls inside) and ``charge`` (one call each) call
+        one Python function: ``CpuModel._recompute_noise``, once per
+        noise redraw.  The carry and the countdown are rendered inline."""
         machine = Machine(MachineConfig(), seed=3, mode="play")
         cpu, platform = machine.cpu, machine.platform
         classes = tuple(CostClass(i % len(CostClass)) for i in range(1000))
-        bases = tuple(cpu._cost_list[c] for c in classes)
         redraws = (1 + (len(classes) - cpu._until_redraw)
                    // cpu.config.speculation_period)
-        caller = getattr(platform, path).__code__
+        inline = platform.mem_inline()
+        namespace = dict(inline.namespace, _N=len(classes), _HEAD=0,
+                         _PER=0, vm=None, thread=None, frame=None)
+        exec(tracejit._event_code(inline), namespace)  # noqa: S102
+        caller = (namespace["_event"] if path == "event"
+                  else platform.charge).__code__
         called = []
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_back.f_code is caller:
                 called.append(frame.f_code)
 
+        chain = _in_place_charge(inline, [cpu._cost_list[c] for c in classes],
+                                 len(classes))
         sys.setprofile(profile)
         try:
-            if path == "charge_block":
-                platform.charge_block(classes, bases, sum(bases))
+            if path == "event":
+                exec(chain, namespace)  # noqa: S102
             else:
                 for cost_class in classes:
                     platform.charge(cost_class)
