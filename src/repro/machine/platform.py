@@ -51,7 +51,11 @@ instruction steps the fractional carry (:data:`_CARRY`), and each
 event and exit adds the cycles of the run since the last one in closed
 form (:data:`_RUN`).  The batched ``charge`` is one instruction in
 closed form.  On a CPU whose noise factor is always 1.0 both skip the
-float steps while the carry is zero.
+float steps while the carry is zero.  The batched branch record has one
+source too, :func:`_branch_template`: compiled blocks render it at each
+conditional branch with the table index as a literal, and the batched
+``branch`` closure runs it with the index computed at run time.
+``BranchPredictor.record`` stays the reference.
 """
 
 from __future__ import annotations
@@ -144,8 +148,47 @@ _CHARGES = {exact: _charge_lines(exact) for exact in (False, True)}
 def _carry(base, exact: bool = False) -> str:
     """The :data:`_CARRY` step of an instruction of base cost ``base``
     in a compiled block.  An exact CPU steps only a nonzero carry: from
-    a zero carry under the factor 1.0 the step leaves it at zero."""
-    return ("if _cf: " if exact else "") + _CARRY.format(base)
+    a zero carry under the factor 1.0 the step leaves it at zero.  The
+    base renders as a float literal: CPython converts an int operand to
+    the same double before it multiplies, so the product is the same
+    float, without the int's ``NotImplemented`` round trip."""
+    return ("if _cf: " if exact else "") + _CARRY.format(float(base))
+
+
+@functools.cache
+def _branch_template(mask: int, penalty: int) -> tuple:
+    """The batched branch record of one predictor geometry and penalty
+    (DESIGN §4.3): ``(branch, branch_lines)``, with ``branch(site)`` as
+    :class:`~repro.vm.platform.MemInline` describes it and
+    ``branch_lines`` the body of the batched ``branch(branch_site,
+    taken)``, which indexes the table at run time.
+
+    The lines are ``BranchPredictor.record`` (``repro.hw.branch``), the
+    reference, followed by the add of its penalty to the branch slot,
+    over the predictor ``_bp`` and its counter list ``_bc``, which
+    ``flush`` resets in place.  The 2-bit counter moves towards the
+    outcome, and the prediction was wrong when the counter stood on the
+    other side of 2 before the move.
+    """
+    miss = ["_bp.mispredictions += 1"]
+    if penalty:
+        miss.append(f"_acc[{_ACC_BRANCH}] += {penalty}")
+
+    def branch(site, taken: str = "_tk") -> list[str]:
+        if isinstance(site, int):
+            index, lines = site & mask, []
+        else:
+            index, lines = "_bi", [f"_bi = {site} & {mask}"]
+        return lines + ([f"_bs = _bc[{index}]", "_bp.predictions += 1",
+                         f"if {taken}:", "    if _bs < 3:",
+                         f"        _bc[{index}] = _bs + 1",
+                         "        if _bs < 2:"]
+                        + _indent(_indent(_indent(miss)))
+                        + ["elif _bs:", f"    _bc[{index}] = _bs - 1",
+                           "    if _bs > 1:"]
+                        + _indent(_indent(miss)))
+
+    return branch, tuple(branch("branch_site", "taken"))
 
 
 #: The four locals of a translated access: its page number, physical
@@ -242,10 +285,11 @@ def _mem_templates(page_shift: int, line_shift: int, nsets: int,
 
 
 def _generated_paths(mem_lines: tuple, namespace: dict,
-                     charge_lines: list[str]):
-    """The ``(mem_access, charge)`` closures over ``namespace``:
-    ``mem_access(vaddr)`` runs ``mem_lines`` and ``charge``
-    ``charge_lines`` (from :data:`_CHARGES`).
+                     charge_lines: list[str], branch_lines: tuple):
+    """The ``(mem_access, charge, branch)`` closures over ``namespace``:
+    ``mem_access(vaddr)`` runs ``mem_lines``, ``charge`` ``charge_lines``
+    (from :data:`_CHARGES`) and ``branch`` ``branch_lines`` (from
+    :func:`_branch_template`).
 
     The source is compiled once per distinct text, into a factory that
     takes the namespace as arguments, so every platform after the first
@@ -258,8 +302,9 @@ def _generated_paths(mem_lines: tuple, namespace: dict,
         + [f"    def {signature}:{indent}{indent.join(body)}"
            for signature, body in (
                ("mem_access(vaddr)", mem_lines),
-               ("charge(cost_class)", charge_lines))]
-        + ["    return mem_access, charge"])
+               ("charge(cost_class)", charge_lines),
+               ("branch(branch_site, taken)", branch_lines))]
+        + ["    return mem_access, charge, branch"])
     factory = _FACTORIES.get(source)
     if factory is None:
         scope: dict = {}
@@ -366,13 +411,13 @@ class TimedCorePlatform(Platform):
 
     def mem_inline(self) -> MemInline | None:
         """The batched templates (the memory access's two halves and
-        exit sums, the carry step and the run's cycles) and their
-        namespace, for inlining memory accesses and the charge into
-        trace blocks.
+        exit sums, the carry step, the run's cycles and the branch
+        record) and their namespace, for inlining memory accesses, the
+        charge and the predictor update into trace blocks.
 
         None on the unbatched reference (``REPRO_NO_BATCH=1`` or a
-        non-LRU L1), whose compiled blocks call ``mem_access`` and
-        ``charge`` instead.
+        non-LRU L1), whose compiled blocks call ``mem_access``,
+        ``charge`` and ``branch`` instead.
         """
         return self._mem_inline
 
@@ -418,23 +463,20 @@ class TimedCorePlatform(Platform):
         removed is measurable.  Every cost is one integer add to its
         source's accumulator slot, with or without a ledger attached;
         ``flush_charges`` splits the bus stalls out of the cache slot.
-        The memory access is built from the templates compiled trace
-        blocks inline, so the two cannot diverge.  ``charge`` updates
-        the CPU's own counters, redraw points and carry, as compiled
-        blocks do at their events and exits, so
-        ``CpuModel.instruction_cost`` callers interleave transparently.
+        The memory access and the branch record are built from the
+        templates compiled trace blocks inline, so the two cannot
+        diverge.  ``charge`` updates the CPU's own counters, redraw
+        points and carry, as compiled blocks do at their events and
+        exits, so ``CpuModel.instruction_cost`` callers interleave
+        transparently.  Everything here is per-machine set-up: what a
+        template renders comes from per-geometry caches.
         """
         acc = self._acc
         cpu = self.cpu
-        record_branch = self.predictor.record
-
-        def branch(branch_site: int, taken: bool) -> None:
-            penalty = record_branch(branch_site, taken)
-            if penalty:
-                acc[_ACC_BRANCH] += penalty
-
-        # The batched memory access as source lines over ``inline_ns``
-        # (see :func:`_mem_templates`), and the charges.
+        predictor = self.predictor
+        # The batched memory access and branch record as source lines
+        # over ``inline_ns`` (see :func:`_mem_templates` and
+        # :func:`_branch_template`), and the charges.
         tlb = self.tlb
         l1 = self.hierarchy.l1
         space = self.space
@@ -444,11 +486,14 @@ class TimedCorePlatform(Platform):
             "_l1S": l1._sets, "_l1O": l1,
             "_l1M": self.hierarchy.access_after_l1_miss,
             "_l1wb": l1.take_writeback_cost, "_acc": acc, "_cpu": cpu,
+            "_bc": predictor._counters, "_bp": predictor,
         }
         window = self._registerized_base
         *templates, mem_lines = _mem_templates(
             space._page_shift, l1._line_shift, l1._num_sets,
             l1.config.hit_cycles, window)
+        mask, penalty = predictor._mask, predictor.config.mispredict_cycles
+        branch, branch_lines = _branch_template(mask, penalty)
         # Without speculation noise, frequency scaling and turbo,
         # ``CpuModel._recompute_noise`` only ever draws 1.0.
         timing = cpu.config
@@ -456,10 +501,11 @@ class TimedCorePlatform(Platform):
                      or timing.turbo_enabled)
         self._mem_inline = MemInline(
             *templates, functools.partial(_carry, exact=exact), _RUN.format,
-            window is not None, inline_ns, (*mem_lines, exact))
-        mem_access, charge = _generated_paths(
+            branch, window is not None, inline_ns,
+            (*mem_lines, exact, mask, penalty))
+        mem_access, charge, branch = _generated_paths(
             mem_lines, {**inline_ns, "_costs": cpu._cost_list},
-            _CHARGES[exact])
+            _CHARGES[exact], branch_lines)
         self.charge = charge
         self.mem_access = mem_access
         self.fetch_access = mem_access

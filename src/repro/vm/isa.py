@@ -289,7 +289,10 @@ def wrap_i64(value: int) -> int:
 
 def render_wrap(assign: str, expr: str) -> list[str]:
     """Source lines handing ``expr`` wrapped to 64 bits to the ``assign``
-    template (``"x = {}"``, ``"s.append({})"``): :func:`wrap_i64`
-    inline, without its call."""
-    return [f"_v = ({expr}) & {_MASK64}",
-            assign.format(f"_v - {1 << 64} if _v & {_SIGN_BIT} else _v")]
+    template (``"x = {}"``, ``"s.append({})"``): :func:`wrap_i64`'s
+    value, inline and without its call.  A value already in range, the
+    common case, costs two comparisons; only one outside it is shifted,
+    masked and shifted back through big ints."""
+    return [f"_v = {expr}",
+            assign.format(f"_v if -{_SIGN_BIT} <= _v < {_SIGN_BIT} else"
+                          f" ((_v + {_SIGN_BIT}) & {_MASK64}) - {_SIGN_BIT}")]

@@ -26,10 +26,13 @@ class MemInline(NamedTuple):
     through ``hits``: misses are counted in the locals ``_mt`` (TLB) and
     ``_mc`` (L1), which the block sets to 0 on entry.  It charges each
     instruction in place with ``carry`` and adds the cycles of a run
-    with ``cycles``.  The namespace's ``_cpu`` is the CPU model, whose
+    with ``cycles``, and records each conditional branch in place with
+    ``branch``.  The namespace's ``_cpu`` is the CPU model, whose
     noise factor (``_combined``), carry (``_frac``) and redraw countdown
     (``_until_redraw``) a block keeps in locals and hands back, with the
-    instruction count (``_instructions``), at its polls and exits.
+    instruction count (``_instructions``), at its polls and exits.  Its
+    ``_bp`` is the branch predictor and ``_bc`` the predictor's counter
+    list, which ``flush`` resets in place.
     """
 
     #: ``mem(expr)``: lines charging a memory access at address
@@ -63,13 +66,20 @@ class MemInline(NamedTuple):
     #: sum ``_ps0``, up to the prefix sum ``prefix``, where the carry is
     #: ``_cf``.
     cycles: Callable[[object], str]
+    #: ``branch(site)``: lines recording a conditional branch at the
+    #: static site ``site`` whose outcome is the bool ``_tk``, exactly
+    #: as the batched ``branch`` does: the 2-bit counter move on ``_bc``
+    #: (the table index a literal), the predictor's counts and, on a
+    #: mispredict, the penalty's add to ``_acc``.
+    branch: Callable[[int], list]
     #: Whether an access without a line key may be skipped at run time
     #: (the Oracle-JIT model's registerized window): such an access
     #: renders through ``mem``.
     guarded: bool
     namespace: dict
     #: Everything the templates bake into their source (the compile-cache
-    #: key of the blocks rendered from them).
+    #: key of the blocks rendered from them), the predictor's index mask
+    #: and mispredict penalty included.
     signature: tuple
 
 

@@ -10,8 +10,11 @@ is rendered from its row of :data:`repro.vm.isa.ROWS`, the table the
 interpreter renders its dispatch ladder from, so the two tiers share
 one statement of every opcode's semantics.  On a batched platform the
 block inlines the platform's templates (:meth:`Platform.mem_inline`):
-each memory access, and each instruction's charge in place.
-Otherwise the block calls :meth:`Platform.charge` per instruction.
+each memory access, each instruction's charge in place and each
+conditional branch's predictor update.  Otherwise the block calls
+:meth:`Platform.charge` per instruction and :meth:`Platform.branch` per
+branch.  Every block reads the heap's object list inline, so the common
+path of a block pass makes no Python call per instruction.
 
 Time determinism is the design constraint, not an afterthought:
 
@@ -64,6 +67,16 @@ Time determinism is the design constraint, not an afterthought:
   the iterations run in a self-loop, less the misses counted on the
   miss sides.  Accesses the Oracle-JIT model may registerize count
   their hits inline.
+
+* **Branches and heap dereferences inline.**  A batched block records
+  each in-block guard and conditional terminator with the platform's
+  predictor template: ``BranchPredictor.record`` and the add of its
+  penalty to the branch slot, at the branch, so a poll after it sees
+  the penalty as the interpreter's would.  A dereference reads the
+  heap's object list, fetched per call (the executive swaps heaps only
+  between block calls, and blocks never allocate or collect), and
+  falls back to ``Heap.get``, the one error path, for a null or
+  dangling reference.
 
 * **Side exits.**  Every fault-capable instruction records its offset
   before executing; on a guest throw the generated code charges the
@@ -196,6 +209,10 @@ def compile_region(function: "Function", head: int,
         art = cache[key]
     else:
         art = _build_region(function, head, platform)
+        if art is not None:
+            # The code object is all instantiation needs: cached
+            # artifacts keep no rendered source.
+            del art["source"]
         cache[key] = art
     if art is None:
         return None
@@ -404,6 +421,13 @@ def _build_region(function: "Function", head: int,
     guarded = inline is not None and inline.guarded
     code_window = CODE_BASE + function.index * CODE_STRIDE
 
+    def branch(pc) -> list[str]:
+        """The record of the conditional branch at ``pc`` with outcome
+        ``_tk``: the platform's predictor template, or a call."""
+        gsite = function.index * CODE_STRIDE + pc
+        return ([f"_branch({gsite}, _tk)"] if inline is None
+                else inline.branch(gsite))
+
     def line_key(addr: int, frame: bool = False):
         return None if inline is None else inline.line_key(addr, frame)
 
@@ -568,9 +592,8 @@ def _build_region(function: "Function", head: int,
             # prefix charged, the counters advanced over the k+1
             # retired instructions, and the branch target fetched —
             # byte-for-byte what the interpreter would have done.
-            gsite = function.index * CODE_STRIDE + pc
             body.append(f"_tk = {row.branch.format(v=vstack.pop())}")
-            body.append(f"_branch({gsite}, _tk)")
+            body += branch(pc)
             body.append("if _tk:")
             fetch, fetched = exit_fetch(code_window + arg * 4)
             body += _indent(_pushback(vstack) + settle(k + 1)
@@ -600,8 +623,12 @@ def _build_region(function: "Function", head: int,
             prefix[k] = counted
             body.append(f"_i = {k}")
         if "ref" in row.pops:
+            # The heap's object list inline; ``Heap.get`` raises for a
+            # null or dangling reference.
             uses_heap = True
-            body.append(f"_o = _hget({names['ref']})")
+            ref = names["ref"]
+            body += [f"_o = _hobj[{ref}] if 0 < {ref} < len(_hobj) else None",
+                     f"if _o is None: _o = _hget({ref})"]
             if "{D}" in text:
                 body.append("_d = _o.data")
         for condition, code in row.checks:
@@ -652,8 +679,7 @@ def _build_region(function: "Function", head: int,
                  + settle(n) + leave(0, 0, 0, None)
                  + [f"frame.pc = {target}"])
         if cond_value is not None:
-            site_pc = function.index * CODE_STRIDE + terminator_pc
-            taken = ([f"_tk = {cond_value}", f"_branch({site_pc}, _tk)",
+            taken = ([f"_tk = {cond_value}", *branch(terminator_pc),
                       "if _tk:"] + _indent(taken) + ["else:"]
                      + _indent(settle(n) + leave(n, total, passed, "entries")
                                + [f"frame.pc = {terminator_pc + 1}"]))
@@ -668,10 +694,9 @@ def _build_region(function: "Function", head: int,
         else:
             # Both ways out retire the same pass; only the taken one
             # fetches.
-            site_pc = function.index * CODE_STRIDE + terminator_pc
             epilogue = (pushback + settle(n)
                         + leave(n, total, 0, "entries")
-                        + [f"_tk = {cond_value}", f"_branch({site_pc}, _tk)",
+                        + [f"_tk = {cond_value}", *branch(terminator_pc),
                            "if _tk:"]
                         + _indent([f"frame.pc = {target}"] + fetch
                                   + sums(counted + fetched))
@@ -694,7 +719,9 @@ def _build_region(function: "Function", head: int,
         # vm.globals/vm.heap wholesale between runs.
         prologue.append("_G = vm.globals")
     if uses_heap:
-        prologue.append("_hget = vm.heap.get")
+        # Blocks never allocate or collect, so the object list stays
+        # the heap's within a call.
+        prologue += ["_hget = vm.heap.get", "_hobj = vm.heap._objects"]
     if loops:
         prologue.append("_R = _r")
     if inline is not None:

@@ -3,25 +3,29 @@
 Assertions on rendered text, one per construct: the interpreter's
 dispatch ladder (``repro.vm.interpreter.RUN_SOURCE``) and a compiled
 block's source (``_build_region``'s artifact).  Plus a deterministic
-work-count gate on the rendered ladder: the Python calls ``run`` makes.
+work-count gate on the rendered ladder: the Python calls ``run`` makes,
+and a property of both tiers' rendered 64-bit wrap.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import build_kernel_program
 from repro.core.tdr import play
 from repro.machine import MachineConfig
 from repro.machine.machine import Machine
-from repro.vm import interpreter
+from repro.vm import NullPlatform, interpreter
 from repro.vm.interpreter import Interpreter, render_ladder
-from repro.vm.isa import ROWS, Op
+from repro.vm.isa import ROWS, Op, wrap_i64
 from repro.vm.program import Function
-from repro.vm.tracejit import _build_region
+from repro.vm.tracejit import _build_region, compile_region
 
 
 def _arms() -> dict[int, list[str]]:
@@ -85,6 +89,48 @@ def test_aload_bounds_check_precedes_its_access_in_both_tiers(monkeypatch,
     source = _build_region(_aload_function(), 0, platform)["source"]
     assert 0 < source.index("raise _GT(-2)") < \
         source.index("_o.vaddr + 16 + ")
+
+
+#: Ints at and around the edges of the 64-bit range, of the 64-bit mask
+#: and of a 128-bit product, of both signs, and 0 and -1.
+WRAP_EDGES = sorted({sign * (1 << bits) + delta for bits in (63, 64, 127)
+                     for sign in (1, -1) for delta in (-2, -1, 0, 1, 2)}
+                    | {0, -1})
+
+
+@functools.cache
+def _iadd_tiers():
+    """Both tiers' IADD: the interpreter's arm and a compiled block of
+    ``IADD, NOP, NOP`` on the flat-cost platform."""
+    code = [(Op.IADD, None), (Op.NOP, None), (Op.NOP, None),
+            (Op.HALT, None)]
+    function = Function("f", 0, 0, ops=[int(op) for op, _ in code],
+                        args=[arg for _, arg in code])
+    function.index = 0
+    block = compile_region(function, 0, NullPlatform())
+    return compile("\n".join(_arms()[Op.IADD]), "<arm>", "exec"), block
+
+
+def _wrap_edges(test):
+    for value in WRAP_EDGES:
+        test = example(value=value)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@_wrap_edges
+@given(value=st.integers())
+def test_both_tiers_wrap_like_wrap_i64(value):
+    """Both tiers' rendered wrap (``render_wrap``) of ``value + 0``
+    equals :func:`wrap_i64`, at the edges of its range test and
+    anywhere else."""
+    arm, block = _iadd_tiers()
+    stack = [value, 0]
+    exec(arm, {"stack": stack})  # noqa: S102
+    frame = SimpleNamespace(stack=[value, 0], pc=0)
+    block.run(SimpleNamespace(instruction_count=0),
+              SimpleNamespace(executed=0), frame, block.n)
+    assert stack == frame.stack == [wrap_i64(value)]
 
 
 def test_run_is_one_function_compiled_under_the_module_filename():

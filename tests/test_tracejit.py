@@ -27,16 +27,17 @@ from repro.apps import (SCIMARK_KERNELS, build_kernel_program,
                         build_nfs_program, build_nfs_workload, compile_app)
 from repro.core.tdr import play, round_trip
 from repro.determinism import SplitMix64
+from repro.hw.branch import BranchPredictor
 from repro.hw.cache import CacheHierarchy
 from repro.hw.cpu import CostClass, CpuModel
 from repro.hw.interrupts import IrqSource
 from repro.machine import MachineConfig, NoiseScenario, scenario_config
 from repro.machine.config import RuntimeKind
 from repro.machine.machine import Machine
-from repro.machine.platform import _ACC_INSTR
+from repro.machine.platform import _ACC_BRANCH, _ACC_INSTR
 from repro.obs import Observability
 from repro.vm import tracejit
-from repro.vm.heap import HEAP_BASE, GuestThrow
+from repro.vm.heap import HEAP_BASE, GuestThrow, Heap
 from repro.vm.interpreter import Interpreter
 from repro.vm.isa import ROWS, STACK_BASE
 from repro.vm.tracejit import (_MIN_BLOCK, _build_region,
@@ -148,6 +149,17 @@ class TestUnits:
                 assert second.run.__code__ is first.run.__code__
                 assert second is not first
                 assert first.n == second.n > 0
+
+    def test_cached_artifacts_keep_no_source(self):
+        """The compile cache holds what instantiation needs, not the
+        rendered source, which only ``_build_region`` returns."""
+        program = build_kernel_program("sor", n=16, iterations=4)
+        play(program, MachineConfig(), seed=3)
+        artifacts = [art for function in program.functions
+                     for art in getattr(function, "_tracejit_cache",
+                                        {}).values() if art is not None]
+        assert artifacts
+        assert not [art for art in artifacts if "source" in art]
 
     def test_artifact_cache_shared_with_ledger_runs(self):
         """The memory template renders the same source with or without
@@ -416,7 +428,11 @@ def _l1_direct(size_bytes: int) -> MachineConfig:
 #: after an access to another page would change what the next miss
 #: evicts.  A 1-entry TLB and a direct-mapped 512-byte L1 evict a line a
 #: block call translated between two of its accesses, so the miss sides
-#: of the update half run.
+#: of the update half run.  A 2-entry predictor table aliases the
+#: branch sites of every function, and a zero mispredict penalty renders
+#: the predictor template without its add to ``_acc``; ``nfs_program``
+#: is shared across configs, so an artifact compiled under one predictor
+#: config and reused under another fails there.
 ELISION_CONFIGS = {
     "tlb-1": MachineConfig(tlb_entries=1),
     "tlb-2": MachineConfig(tlb_entries=2),
@@ -428,7 +444,45 @@ ELISION_CONFIGS = {
     "l1-line-128": _l1_line(128),
     "l1-line-1024": _l1_line(1024),
     "poll-7": MachineConfig(vm_poll_interval=7),
+    "btb-2": MachineConfig(btb_entries=2),
+    "mispredict-0": MachineConfig(mispredict_cycles=0),
 }
+
+
+@pytest.mark.parametrize("entries", (1024, 2))
+@pytest.mark.parametrize("penalty", (0, 14))
+def test_branch_template_matches_record(monkeypatch, entries, penalty):
+    """The predictor template a batched block renders at a static site,
+    and the batched ``branch`` rendered from it with a run-time index,
+    against ``BranchPredictor.record`` followed by the add of its
+    penalty to the branch slot: from every counter state, for both
+    outcomes, at sites that alias under the table's mask."""
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    machine = Machine(MachineConfig(btb_entries=entries,
+                                    mispredict_cycles=penalty),
+                      seed=0, mode="play")
+    platform, predictor = machine.platform, machine.predictor
+    inline = platform.mem_inline()
+    reference = BranchPredictor(predictor.config)
+    acc = platform._acc
+    for site in (5, 6, 1029, 0x4000 + 7):
+        code = compile("\n".join(inline.branch(site)), "<branch>", "exec")
+        for state, taken, path in itertools.product(
+                range(4), (False, True), ("inline", "batched")):
+            index = site & (entries - 1)
+            reference._counters[index] = predictor._counters[index] = state
+            before = acc[_ACC_BRANCH]
+            penalty_due = reference.record(site, taken)
+            if path == "inline":
+                exec(code, dict(inline.namespace, _tk=taken))  # noqa: S102
+            else:
+                platform.branch(site, taken)
+            assert acc[_ACC_BRANCH] - before == penalty_due
+            assert predictor._counters == reference._counters
+            assert (predictor.predictions, predictor.mispredictions) == \
+                (reference.predictions, reference.mispredictions)
+    assert reference.mispredictions > 0
+    assert inline.signature[-2:] == (entries - 1, penalty)
 
 
 def test_line_keys_at_the_elision_boundaries(monkeypatch):
@@ -461,8 +515,9 @@ def test_line_keys_at_the_elision_boundaries(monkeypatch):
 
 def _elision_runs(nfs_program, config):
     """A 4-request NFS round trip and two small kernels: each run's
-    result and, for the kernels, the TLB hit count and the TLB and cache
-    state digests, which tell if an LRU move went missing."""
+    result and, for the kernels, the TLB hit count, the TLB and cache
+    state digests, which tell if an LRU move went missing, and the
+    predictor's state digest and counts."""
     trip = round_trip(nfs_program, config,
                       workload=build_nfs_workload(SplitMix64(7042),
                                                   num_requests=4),
@@ -472,9 +527,13 @@ def _elision_runs(nfs_program, config):
                     build_kernel_program("lu", n=12)):
         machine = Machine(config, seed=1, mode="play", obs=Observability())
         result = machine.run(program)
+        predictor = machine.predictor
         runs.append((result, (machine.tlb.hits,
                               machine.tlb.state_fingerprint(),
-                              machine.hierarchy.state_fingerprint())))
+                              machine.hierarchy.state_fingerprint(),
+                              predictor.state_fingerprint(),
+                              predictor.predictions,
+                              predictor.mispredictions)))
     return runs
 
 
@@ -720,6 +779,34 @@ class TestWorkCounts:
         assert seen["event_calls"] == (seen["in_block"] + seen["redraw"]
                                        - seen["redraw_at_poll"]), seen
         assert seen["charge_calls"] == 0, seen
+
+    def test_blocks_record_branches_and_dereference_inline(
+            self, nfs_program):
+        """Over the round trip, compiled blocks make no call to
+        ``BranchPredictor.record``, to the platform's ``branch`` or to
+        ``Heap.get``: the predictor template and the heap's object list
+        are inline.  The interpreter still makes such calls."""
+        platform = Machine(MachineConfig(), seed=3, mode="play").platform
+        barred = {BranchPredictor.record.__code__: "record",
+                  platform.branch.__code__: "branch",
+                  Heap.get.__code__: "Heap.get"}
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in barred:
+                caller = frame.f_back.f_code.co_filename
+                calls[barred[frame.f_code],
+                      caller.startswith("<tracejit ")] += 1
+
+        sys.setprofile(profile)
+        try:
+            trip = _round_trip(nfs_program)
+        finally:
+            sys.setprofile(None)
+        assert trip.play.jit["entries"] + trip.replay.jit["entries"] > 0
+        assert not {name: n for (name, block), n in calls.items()
+                    if block}, calls
+        assert calls["branch", False] > 0 and calls["Heap.get", False] > 0
 
     def test_blocks_retire_most_kernel_instructions(self):
         """Over warm second plays of the five default-size SciMark
