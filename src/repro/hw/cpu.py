@@ -149,7 +149,6 @@ class CpuModel:
                  noise_rng: SplitMix64 | ZeroNoise) -> None:
         self.config = config
         self._rng = noise_rng
-        self._costs = config.costs
         # Dense cost table indexed by CostClass value: a list index is
         # measurably cheaper than a dict lookup on the per-instruction
         # path.
@@ -234,11 +233,3 @@ class CpuModel:
         if self._combined == 1.0:
             return cycles
         return max(1, round(cycles * self._combined))
-
-    def base_cost(self, cost_class: CostClass) -> int:
-        """Noise-free base cost (used by cost accounting and tests)."""
-        return self._costs[cost_class]
-
-    @property
-    def instructions_costed(self) -> int:
-        return self._instructions

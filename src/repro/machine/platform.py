@@ -34,18 +34,19 @@ audit verdicts are bit-identical to the unbatched path, because integer
 addition is associative and nothing observes the clock mid-batch; only
 the *number* of ledger charge events changes (one per flush instead of
 one per instruction).  Set ``REPRO_NO_BATCH=1`` to fall back to the
-immediate-advance path for differential testing.
+immediate-advance path, on the interpreter, for differential testing.
 
 The batched memory access has one source, the templates of
 :func:`_mem_templates`: a translation half (the page-table lookup down
 to the L1 set and tag) and an update half (the TLB and L1 LRU moves),
 rendered as Python lines that hand the miss sides to the components.
-``mem_access`` / ``fetch_access`` are a closure running both halves
-with the hit counters inline.  Compiled trace blocks inline the same
-halves per access (DESIGN §4.3): a line a call meets again is
-translated once per call and later makes only the LRU moves, and the
-hit counters are summed at the block's exits.  The L1 hit is an LRU
-move, so a machine whose L1 is not LRU runs the unbatched reference.
+``mem_access``, for data accesses and instruction fetches alike, is a
+closure running both halves with the hit counters inline.  Compiled
+trace blocks inline the same halves per access (DESIGN §4.3): a line a
+call meets again is translated once per call and later makes only the
+LRU moves, and the hit counters are summed at the block's exits.  The
+L1 hit is an LRU move, so a machine whose L1 is not LRU runs the
+unbatched reference too.
 Compiled blocks charge in place from two more templates: each
 instruction steps the fractional carry (:data:`_CARRY`), and each
 event and exit adds the cycles of the run since the last one in closed
@@ -390,9 +391,6 @@ class TimedCorePlatform(Platform):
         elif cost:
             self.clock.advance(cost, Source.CACHE)
 
-    def fetch_access(self, code_vaddr: int) -> None:
-        self.mem_access(code_vaddr)
-
     def branch(self, branch_site: int, taken: bool) -> None:
         penalty = self.predictor.record(branch_site, taken)
         if penalty:
@@ -405,19 +403,14 @@ class TimedCorePlatform(Platform):
             return
         self.clock.advance(cycles, source)
 
-    def instruction_base_costs(self) -> list[int]:
-        """Noise-free base costs per :class:`CostClass` (dense list)."""
-        return list(self.cpu._cost_list)
-
     def mem_inline(self) -> MemInline | None:
         """The batched templates (the memory access's two halves and
         exit sums, the carry step, the run's cycles and the branch
-        record) and their namespace, for inlining memory accesses, the
-        charge and the predictor update into trace blocks.
+        record), the base costs and their namespace, for inlining memory
+        accesses, the charge and the predictor update into trace blocks.
 
         None on the unbatched reference (``REPRO_NO_BATCH=1`` or a
-        non-LRU L1), whose compiled blocks call ``mem_access``,
-        ``charge`` and ``branch`` instead.
+        non-LRU L1), whose runs stay on the interpreter.
         """
         return self._mem_inline
 
@@ -458,9 +451,9 @@ class TimedCorePlatform(Platform):
         """Bind closure-based fast paths for the per-instruction hot calls.
 
         Closures over local aliases beat bound methods here: the
-        interpreter calls ``charge``/``mem_access``/``fetch_access``
-        once or more per guest instruction, so every attribute lookup
-        removed is measurable.  Every cost is one integer add to its
+        interpreter calls ``charge``/``mem_access`` once or more per
+        guest instruction, so every attribute lookup removed is
+        measurable.  Every cost is one integer add to its
         source's accumulator slot, with or without a ledger attached;
         ``flush_charges`` splits the bus stalls out of the cache slot.
         The memory access and the branch record are built from the
@@ -499,16 +492,16 @@ class TimedCorePlatform(Platform):
         timing = cpu.config
         exact = not (timing.speculation_sigma or timing.freq_scaling_enabled
                      or timing.turbo_enabled)
+        bases = tuple(cpu._cost_list)
         self._mem_inline = MemInline(
             *templates, functools.partial(_carry, exact=exact), _RUN.format,
-            branch, window is not None, inline_ns,
-            (*mem_lines, exact, mask, penalty))
+            branch, window is not None, bases, inline_ns,
+            (*mem_lines, exact, bases, mask, penalty))
         mem_access, charge, branch = _generated_paths(
             mem_lines, {**inline_ns, "_costs": cpu._cost_list},
             _CHARGES[exact], branch_lines)
         self.charge = charge
         self.mem_access = mem_access
-        self.fetch_access = mem_access
         self.branch = branch
 
     def on_quantum(self, interpreter: "Interpreter") -> None:

@@ -39,11 +39,6 @@ class WanLink:
         """Arrival time of a packet sent at ``send_time_ms``."""
         return send_time_ms + self.one_way_ms + self.jitter.sample_ms(rng)
 
-    def deliver_cycles(self, send_cycle: int, rng: SplitMix64) -> int:
-        """Arrival cycle of a packet sent at ``send_cycle``."""
-        return (send_cycle + self.one_way_cycles
-                + self.jitter.sample_cycles(rng, self.frequency_hz))
-
     def delivers(self, rng: SplitMix64) -> bool:
         """Does one transmission attempt survive the path?
 

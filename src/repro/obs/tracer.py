@@ -119,10 +119,6 @@ class SpanTracer:
                          for event in self.events) + ("\n" if self.events
                                                       else "")
 
-    def write_ndjson(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_ndjson())
-
     @classmethod
     def from_ndjson(cls, text: str) -> "SpanTracer":
         """Rebuild a tracer from its NDJSON export.

@@ -113,14 +113,3 @@ class FailureDetector:
         health.dead = True
         health.dead_at_ms = now_ms
         return health
-
-    # -- roster views ------------------------------------------------------
-
-    def live_nodes(self) -> list[str]:
-        """Nodes not declared dead (suspects included), sorted."""
-        return sorted(node_id for node_id, health in self.health.items()
-                      if not health.dead)
-
-    def dead_nodes(self) -> list[str]:
-        return sorted(node_id for node_id, health in self.health.items()
-                      if health.dead)

@@ -1365,6 +1365,15 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         print("available:", ", ".join(EXPERIMENTS), file=sys.stderr)
         return 2
+    if args.covert and {"audit", "serve", "fleet-audit"} & set(selected):
+        from repro.channels import channel_by_name
+        from repro.errors import ChannelError
+
+        try:
+            channel_by_name(args.covert)
+        except ChannelError as exc:
+            print(f"--covert: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     status = 0
     for name in selected:
         started = time.time()

@@ -134,10 +134,6 @@ class Heap:
                 f"dangling reference {handle} (collected object)")
         return obj
 
-    @property
-    def num_objects(self) -> int:
-        return sum(1 for o in self._objects[1:] if o is not None)
-
     # -- garbage collection --------------------------------------------------
 
     def collect(self, roots: list[int]) -> int:

@@ -127,11 +127,12 @@ class Interpreter:
         #: reconstruct the guest stack (both strided).
         self.profiler = None
         #: Trace-compiling tier-up state (None = pure interpreter, which
-        #: ``REPRO_NO_JIT=1`` selects; the compiled path is bit-identical
-        #: to it).  Strictly per-run: compiled blocks capture this run's
-        #: platform fast paths, and Program objects are shared across runs.
+        #: ``REPRO_NO_JIT=1`` and a platform lending no block templates
+        #: select; the compiled path is bit-identical to it).  Strictly
+        #: per-run: compiled blocks capture this run's platform fast
+        #: paths, and Program objects are shared across runs.
         self.jit = None
-        if jit_enabled():
+        if jit_enabled() and platform.mem_inline() is not None:
             self.jit = TraceJit(program, self.platform, self.config)
         self.threads: list[ThreadState] = []
         self._next_thread_id = 0
@@ -201,7 +202,7 @@ class Interpreter:
                 frame.stack.clear()
                 frame.stack.append(code)
                 frame.pc = handler.handler_pc
-                self.platform.fetch_access(
+                self.platform.mem_access(
                     CODE_BASE + frame.function.index * CODE_STRIDE
                     + handler.handler_pc * 4)
                 return
@@ -281,13 +282,13 @@ _HOST_ARMS = {
         for i in range(callee.num_params - 1, -1, -1):
             new_frame.locals[i] = stack.pop()
         thread.frames.append(new_frame)
-        fetch(CODE_BASE + callee.index * CODE_STRIDE)""",
+        mem(CODE_BASE + callee.index * CODE_STRIDE)""",
     Op.RET: """
         thread.frames.pop()
         if thread.frames:
             caller = thread.frames[-1]
-            fetch(CODE_BASE + caller.function.index * CODE_STRIDE
-                  + caller.pc * 4)
+            mem(CODE_BASE + caller.function.index * CODE_STRIDE
+                + caller.pc * 4)
         else:
             thread.alive = False""",
     Op.RETV: """
@@ -296,8 +297,8 @@ _HOST_ARMS = {
         if thread.frames:
             caller = thread.frames[-1]
             caller.stack.append(result)
-            fetch(CODE_BASE + caller.function.index * CODE_STRIDE
-                  + caller.pc * 4)
+            mem(CODE_BASE + caller.function.index * CODE_STRIDE
+                + caller.pc * 4)
         else:
             thread.alive = False""",
     Op.THROW: """
@@ -320,7 +321,7 @@ _HOST_ARMS = {
 _NAMES = {"L": "frame.locals", "G": "globals_", "O": "obj", "D": "data",
           "arg": "arg"}
 _JUMP = ["frame.pc = arg",
-         "fetch(CODE_BASE + function.index * CODE_STRIDE + arg * 4)"]
+         "mem(CODE_BASE + function.index * CODE_STRIDE + arg * 4)"]
 _LADDER_MARKER = "# @ladder: the dispatch arms, rendered at import"
 
 
@@ -435,7 +436,6 @@ def run(self, max_instructions: int | None = None) -> int:
     platform = self.platform
     charge = platform.charge
     mem = platform.mem_access
-    fetch = platform.fetch_access
     cost_of = OPCODE_COST_LIST
     poll = self.poll
     profiler = self.profiler

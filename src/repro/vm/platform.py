@@ -19,18 +19,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class MemInline(NamedTuple):
     """Source templates a batched platform lends to compiled trace
-    blocks (DESIGN §4.3), and the namespace their lines reference.
+    blocks (DESIGN §4.3), and the namespace their lines reference.  A
+    platform that lends none runs every instruction on the interpreter.
 
     A block renders an access as ``translate`` then ``update``, and
     adds the hit counters its accesses would have added once per exit,
     through ``hits``: misses are counted in the locals ``_mt`` (TLB) and
     ``_mc`` (L1), which the block sets to 0 on entry.  It charges each
-    instruction in place with ``carry`` and adds the cycles of a run
-    with ``cycles``, and records each conditional branch in place with
-    ``branch``.  The namespace's ``_cpu`` is the CPU model, whose
-    noise factor (``_combined``), carry (``_frac``) and redraw countdown
-    (``_until_redraw``) a block keeps in locals and hands back, with the
-    instruction count (``_instructions``), at its polls and exits.  Its
+    instruction in place with ``carry``, from its base cost in
+    ``bases``, and adds the cycles of a run with ``cycles``, and records
+    each conditional branch in place with ``branch``.  The namespace's
+    ``_cpu`` is the CPU model, whose noise factor (``_combined``), carry
+    (``_frac``) and redraw countdown (``_until_redraw``) a block keeps in
+    locals and hands back, with the instruction count
+    (``_instructions``), at its polls and exits.  Its
     ``_bp`` is the branch predictor and ``_bc`` the predictor's counter
     list, which ``flush`` resets in place.
     """
@@ -76,10 +78,12 @@ class MemInline(NamedTuple):
     #: (the Oracle-JIT model's registerized window): such an access
     #: renders through ``mem``.
     guarded: bool
+    #: The noise-free base cost of each :class:`CostClass`, by value.
+    bases: tuple
     namespace: dict
     #: Everything the templates bake into their source (the compile-cache
-    #: key of the blocks rendered from them), the predictor's index mask
-    #: and mispredict penalty included.
+    #: key of the blocks rendered from them), the base costs, the
+    #: predictor's index mask and mispredict penalty included.
     signature: tuple
 
 
@@ -97,11 +101,8 @@ class Platform(abc.ABC):
 
     @abc.abstractmethod
     def mem_access(self, vaddr: int) -> None:
-        """Charge a data memory access at virtual address ``vaddr``."""
-
-    @abc.abstractmethod
-    def fetch_access(self, code_vaddr: int) -> None:
-        """Charge an instruction fetch (on control transfers)."""
+        """Charge a memory access at virtual address ``vaddr``: a data
+        access, or an instruction fetch on a control transfer."""
 
     @abc.abstractmethod
     def branch(self, branch_site: int, taken: bool) -> None:
@@ -116,21 +117,12 @@ class Platform(abc.ABC):
         ignore it.
         """
 
-    def instruction_base_costs(self):
-        """Dense base-cost table indexed by :class:`CostClass`, or None.
-
-        The trace compiler counts a block's base cycles from it, and a
-        batched platform's blocks charge from its prefix sums; ``None``
-        (the default) means the platform has no meaningful base table.
-        """
-        return None
-
     def mem_inline(self) -> MemInline | None:
-        """Source templates for inlining memory accesses and the charge
-        into trace blocks, as a :class:`MemInline`.
+        """Source templates for inlining memory accesses, the charge and
+        the branch record into trace blocks, as a :class:`MemInline`.
 
-        ``None`` (the default) makes compiled blocks call
-        :meth:`mem_access` per access and :meth:`charge` per instruction.
+        ``None`` (the default) keeps the run on the interpreter: only a
+        platform that lends templates tiers up.
         """
         return None
 
@@ -173,9 +165,6 @@ class NullPlatform(Platform):
         self.cycles += 1
 
     def mem_access(self, vaddr: int) -> None:
-        self.cycles += 1
-
-    def fetch_access(self, code_vaddr: int) -> None:
         self.cycles += 1
 
     def branch(self, branch_site: int, taken: bool) -> None:

@@ -8,13 +8,13 @@ straight-line bytecode regions into fused Python closures
 and pre-sums its per-instruction cycle costs.  Each instruction's code
 is rendered from its row of :data:`repro.vm.isa.ROWS`, the table the
 interpreter renders its dispatch ladder from, so the two tiers share
-one statement of every opcode's semantics.  On a batched platform the
-block inlines the platform's templates (:meth:`Platform.mem_inline`):
-each memory access, each instruction's charge in place and each
-conditional branch's predictor update.  Otherwise the block calls
-:meth:`Platform.charge` per instruction and :meth:`Platform.branch` per
-branch.  Every block reads the heap's object list inline, so the common
-path of a block pass makes no Python call per instruction.
+one statement of every opcode's semantics.  The block inlines the
+templates of the batched platform (:meth:`Platform.mem_inline`): each
+memory access, each instruction's charge in place and each conditional
+branch's predictor update; it reads the heap's object list inline too,
+so the common path of a block pass makes no Python call per
+instruction.  A platform that lends no templates (``NullPlatform``, the
+unbatched reference) runs on the interpreter alone.
 
 Time determinism is the design constraint, not an afterthought:
 
@@ -68,8 +68,8 @@ Time determinism is the design constraint, not an afterthought:
   miss sides.  Accesses the Oracle-JIT model may registerize count
   their hits inline.
 
-* **Branches and heap dereferences inline.**  A batched block records
-  each in-block guard and conditional terminator with the platform's
+* **Branches and heap dereferences inline.**  A block records each
+  in-block guard and conditional terminator with the platform's
   predictor template: ``BranchPredictor.record`` and the add of its
   penalty to the branch slot, at the branch, so a poll after it sees
   the penalty as the interpreter's would.  A dereference reads the
@@ -91,10 +91,12 @@ Time determinism is the design constraint, not an afterthought:
   before them — so every observable interaction still happens on the
   interpreter's reference path.
 
-``REPRO_NO_JIT=1`` disables the tier-up entirely; the differential
-harness (``tests/test_tracejit.py``) proves cycles, ledger sums,
-transmissions, log bytes and audit verdicts bit-identical with the JIT
-on and off, mirroring the ``REPRO_NO_BATCH`` harness of PR 3.
+``REPRO_NO_JIT=1`` disables the tier-up entirely, and
+``REPRO_NO_BATCH=1`` runs the unbatched reference platform, also on the
+interpreter; the equivalence matrix (``tests/test_equivalence.py``) and
+the differential tests (``tests/test_tracejit.py``) check cycles,
+ledger sums, transmissions, log bytes and audit verdicts bit-identical
+under either switch.
 """
 
 from __future__ import annotations
@@ -185,22 +187,21 @@ def compile_region(function: "Function", head: int,
                    platform: "Platform") -> CompiledBlock | None:
     """Compile the region starting at ``head``, or None if not worth it.
 
+    ``platform`` lends block templates (:meth:`Platform.mem_inline`).
     The expensive part — region scan, codegen, ``compile()`` — is a pure
-    function of the bytecode and the platform's *constants* (base cost
-    table, memory-template shape), so its artifact is cached on the
-    Function and shared across runs; TDR replays the same program many
-    times, and only this thin wrapper runs again: it builds a fresh
-    namespace around the run's platform closures and ``exec``s the
-    cached code object, so no run-local state survives in the cache.
+    function of the bytecode and the templates' *constants*, so its
+    artifact is cached on the Function and shared across runs; TDR
+    replays the same program many times, and only this thin wrapper runs
+    again: it builds a fresh namespace around the run's template
+    namespace and ``exec``s the cached code object, so no run-local
+    state survives in the cache.
     """
-    base_list = platform.instruction_base_costs()
     inline = platform.mem_inline()
     # The templates' signature captures every constant they bake into
     # the source (page and line geometry, set counts, accumulator slots,
-    # registerized windows), making the cache key self-validating
-    # across configs.
-    key = (head, None if base_list is None else tuple(base_list),
-           None if inline is None else inline.signature)
+    # registerized windows, base costs), making the cache key
+    # self-validating across configs.
+    key = (head, inline.signature)
     cache = getattr(function, "_tracejit_cache", None)
     if cache is None:
         cache = {}
@@ -219,29 +220,23 @@ def compile_region(function: "Function", head: int,
     block = CompiledBlock(function.index, function.name, head,
                           art["n"], art["need"])
     block.loops = art["loops"]
-    ns = dict(art["consts"])
+    ns = dict(art["consts"], **inline.namespace)
     ns["_B"] = block
-    ns["_mem"] = platform.mem_access
-    ns["_fetch"] = platform.fetch_access
-    ns["_branch"] = platform.branch
-    ns["_charge"] = platform.charge
-    if inline is not None:
-        ns.update(inline.namespace)
     exec(_event_code(inline), ns)  # noqa: S102 - from fixed templates
     exec(art["code"], ns)  # noqa: S102 - generated from a fixed template
     block.run = ns["_block"]
     return block
 
 
-#: A batched block's prologue: the open run starts at entry, ``_u`` is
-#: the offset whose charge redraws and ``_e`` the nearer of it and ``_p``.
+#: A block's prologue: the open run starts at entry, ``_u`` is the
+#: offset whose charge redraws and ``_e`` the nearer of it and ``_p``.
 _OPEN = ["_cc = _cpu._combined", "_cf = _cf0 = _cpu._frac",
          "_ps0 = _c0 = _mt = _mc = 0", "_u = _cpu._until_redraw - 1",
          "_e = _p if _p < _u else _u"]
 
 
 #: The in-block event helpers' code, by the signature of the templates
-#: they are rendered from (None for blocks that call ``_mem``).
+#: they are rendered from.
 _EVENT_CODE: dict = {}
 
 
@@ -253,49 +248,43 @@ def _event_code(inline):
     ``_event`` runs, in the interpreter's order, the poll at offset
     ``_k == _p`` of a pass that ``_j`` self-loop iterations precede,
     then the noise redraw at ``_k == _u``, before that instruction's
-    charge.  The poll publishes the counts around its call (``_k``
-    counted, not yet charged), sets ``frame.pc`` for the profiler and
-    moves ``_p`` on.  A batched one also charges the open run up to
-    prefix sum ``_s``, hands the CPU its carry and countdown before a
-    poll and adds the hits of the first ``_c`` summed accesses, and it
-    returns the new offsets, run start, poll offset (``_c0``) and miss
-    counts.
+    charge.  It charges the open run up to prefix sum ``_s``; before a
+    poll it hands the CPU its carry and countdown and adds the hits of
+    the first ``_c`` summed accesses, and the poll publishes the counts
+    around its call (``_k`` counted, not yet charged), sets
+    ``frame.pc`` for the profiler and moves ``_p`` on.  It returns the
+    new offsets, run start, poll offset (``_c0``) and miss counts.
 
     ``_touch(_avp, _apa, _awy, _atg, _mt, _mc)`` runs the update half
     of an access that repeats the previous access's line, on that
     access's translation, and returns the miss counts after it: a block
     calls it for such an access after a poll in the pass.
     """
-    key = None if inline is None else inline.signature
+    key = inline.signature
     if key in _EVENT_CODE:
         return _EVENT_CODE[key]
-    published = ["vm.instruction_count += _d", "thread.executed += _d"]
-    if inline is not None:
-        published.append("_cpu._instructions += _d - 1")
-    poll = (["_d = _N * _j + _k + 1", *published,
+    published = ["vm.instruction_count += _d", "thread.executed += _d",
+                 "_cpu._instructions += _d - 1"]
+    poll = (["_cpu._frac = _cf", "_cpu._until_redraw = _u + 1 - _k",
+             "_c += _PER * _j", *inline.hits("_c"), "_mt = _mc = _c",
+             "_d = _N * _j + _k + 1", *published,
              "function = frame.function", "pc = frame.pc = _HEAD + _k",
              "vm.poll(thread, function, pc, function.ops[pc])"]
-            + [line.replace("+=", "-=") for line in published])
-    if inline is None:
-        lines = (["def _event(vm, thread, frame, _k, _j=0):"]
-                 + _indent(poll + ["return _k + vm.config.poll_interval"]))
-    else:
-        poll = (["_cpu._frac = _cf", "_cpu._until_redraw = _u + 1 - _k",
-                 "_c += _PER * _j", *inline.hits("_c"), "_mt = _mc = _c"]
-                + poll + ["_p = _k + vm.config.poll_interval", "_c0 = _k"])
-        lines = (["def _event(vm, thread, frame, _k, _s, _p, _u, _cc, _cf0,"
-                  " _cf, _ps0, _c0, _c, _mt, _mc, _j=0):"]
-                 + _indent([inline.cycles("_s"), "if _k == _p:"]
-                           + _indent(poll)
-                           + ["if _k == _u:",
-                              "    _cpu._recompute_noise()",
-                              "    _cc = _cpu._combined",
-                              "    _u = _k + _cpu.config.speculation_period",
-                              "return (_p, _u, _p if _p < _u else _u, _s,"
-                              " _cf, _cc, _c0, _mt, _mc)"])
-                 + [f"def _touch({', '.join(_PLAIN)}, _mt, _mc):"]
-                 + _indent([*inline.update(_PLAIN, first=False),
-                            "return _mt, _mc"]))
+            + [line.replace("+=", "-=") for line in published]
+            + ["_p = _k + vm.config.poll_interval", "_c0 = _k"])
+    lines = (["def _event(vm, thread, frame, _k, _s, _p, _u, _cc, _cf0,"
+              " _cf, _ps0, _c0, _c, _mt, _mc, _j=0):"]
+             + _indent([inline.cycles("_s"), "if _k == _p:"]
+                       + _indent(poll)
+                       + ["if _k == _u:",
+                          "    _cpu._recompute_noise()",
+                          "    _cc = _cpu._combined",
+                          "    _u = _k + _cpu.config.speculation_period",
+                          "return (_p, _u, _p if _p < _u else _u, _s,"
+                          " _cf, _cc, _c0, _mt, _mc)"])
+             + [f"def _touch({', '.join(_PLAIN)}, _mt, _mc):"]
+             + _indent([*inline.update(_PLAIN, first=False),
+                        "return _mt, _mc"]))
     code = _EVENT_CODE[key] = compile("\n".join(lines), "<tracejit event>",
                                       "exec")
     return code
@@ -322,11 +311,11 @@ def _build_region(function: "Function", head: int,
 
     Every instruction starts with the check for an in-block event: the
     caller passes ``_p``, the offset within the call of the instruction
-    the next poll counts, and a batched block keeps ``_u``, that of the
-    next noise redraw.  At either the block runs ``_event`` (see
-    :func:`_event_code`), then the instruction's charge: a batched
-    block steps the carry, and adds the open run's cycles at each event
-    and exit; an unbatched one calls ``_charge`` (DESIGN §4.3).
+    the next poll counts, and the block keeps ``_u``, that of the next
+    noise redraw.  At either the block runs ``_event`` (see
+    :func:`_event_code`), then the instruction's charge: it steps the
+    carry, and adds the open run's cycles at each event and exit
+    (DESIGN §4.3).
     """
     ops = function.ops
     args = function.args
@@ -384,23 +373,18 @@ def _build_region(function: "Function", head: int,
     loops = (terminator_pc is not None and args[terminator_pc] == head
              and depth == 0)
 
-    # Noise-free base costs, from the platform so the block's numbers
-    # match whatever cost table the run uses; ``presum[k]`` is the base
-    # total of the first ``k`` instructions.
-    classes = tuple(OPCODE_COST_LIST[ops[pc]] for pc in picked)
-    base_list = platform.instruction_base_costs()
-    if base_list is not None:
-        bases = tuple(base_list[c] for c in classes)
-    else:
-        bases = (0,) * n
+    # Noise-free base costs, from the platform's templates so the
+    # block's numbers match whatever cost table the run uses;
+    # ``presum[k]`` is the base total of the first ``k`` instructions.
+    inline = platform.mem_inline()
+    bases = tuple(inline.bases[OPCODE_COST_LIST[ops[pc]]] for pc in picked)
     presum = (0, *itertools.accumulate(bases))
     total = presum[n]
     #: fault offset -> accesses before the fault
     prefix: dict[int, int] = {}
 
     # Everything the generated code needs that is *not* per-run state:
-    # run-local closures (_mem/_fetch/_branch/_charge), the
-    # memory-template objects and the _B counter block are bound by
+    # the templates' namespace and the _B counter block are bound by
     # compile_region when it instantiates the cached artifact.
     consts = {
         "_GT": GuestThrow,
@@ -408,28 +392,21 @@ def _build_region(function: "Function", head: int,
         "_PS": presum, "_PFX": prefix, "_N": n, "_HEAD": head,
     }
 
-    # Platforms may provide source templates for the memory path and the
-    # block charge, in which case every data access and fetch is
-    # expanded inline instead of calling the mem_access closure once per
-    # access (DESIGN §4.3).  An access with a static line key translates
-    # its line once per call, into locals of its own, when the call
-    # meets that line again after touching another; later accesses make
-    # only the LRU moves.  An access to the line of the access just
-    # before it on the same path renders nothing.  Hit counters are
-    # summed at the exits, from each path's count of accesses.
-    inline = platform.mem_inline()
-    guarded = inline is not None and inline.guarded
+    # Every data access and fetch is expanded inline from the platform's
+    # memory templates (DESIGN §4.3).  An access with a static line key
+    # translates its line once per call, into locals of its own, when
+    # the call meets that line again after touching another; later
+    # accesses make only the LRU moves.  An access to the line of the
+    # access just before it on the same path renders nothing.  Hit
+    # counters are summed at the exits, from each path's count of
+    # accesses.
+    line_key = inline.line_key
     code_window = CODE_BASE + function.index * CODE_STRIDE
 
     def branch(pc) -> list[str]:
-        """The record of the conditional branch at ``pc`` with outcome
-        ``_tk``: the platform's predictor template, or a call."""
-        gsite = function.index * CODE_STRIDE + pc
-        return ([f"_branch({gsite}, _tk)"] if inline is None
-                else inline.branch(gsite))
-
-    def line_key(addr: int, frame: bool = False):
-        return None if inline is None else inline.line_key(addr, frame)
+        """The predictor template's record of the conditional branch at
+        ``pc`` with outcome ``_tk``."""
+        return inline.branch(function.index * CODE_STRIDE + pc)
 
     def site(pc):
         """The address expression and line key of the access at ``pc``,
@@ -443,7 +420,7 @@ def _build_region(function: "Function", head: int,
     def summed(key) -> bool:
         """Whether an access with line key ``key`` leaves its hits to the
         exit sums: one the registerized guard may skip counts its own."""
-        return inline is not None and not (key is None and guarded)
+        return not (key is None and inline.guarded)
 
     # The line keys of one pass's accesses in program order (None for
     # an access without one), a self-loop's back-edge fetch last.  Lines
@@ -482,10 +459,8 @@ def _build_region(function: "Function", head: int,
     translated = set()  # captured lines translated on the path
     touches = False     # some repeat runs its update half after a poll
 
-    def access(expr, key, call="_mem") -> list[str]:
+    def access(expr, key) -> list[str]:
         nonlocal last_key, last_names, counted, counts, touches
-        if inline is None:
-            return [f"{call}({expr})"]
         previous, last_key = last_key, key
         if not summed(key):
             return inline.mem(str(expr))
@@ -517,8 +492,6 @@ def _build_region(function: "Function", head: int,
         """A branch target's fetch on an exit path, and how many
         accesses it adds to that exit's hit sums."""
         nonlocal counts
-        if inline is None:
-            return [f"_fetch({addr})"], 0
         if not summed(line_key(addr)):
             return inline.mem(str(addr)), 0
         counts = True
@@ -541,8 +514,8 @@ def _build_region(function: "Function", head: int,
                  + [f"vm.instruction_count += {count}",
                     f"thread.executed += {count}",
                     f"_B.instructions += {count}",
-                    f"_B.cycles += {plus(total, cycles)}"]
-                 + ([f"_cpu._instructions += {count}"] if inline else []))
+                    f"_B.cycles += {plus(total, cycles)}",
+                    f"_cpu._instructions += {count}"])
         entries = plus(1, int(counter == "entries"))
         if entries != "0":
             lines.append(f"_B.entries += {entries}")
@@ -558,8 +531,6 @@ def _build_region(function: "Function", head: int,
         """The in-block event at offset ``k``, before the instruction's
         own charge, with the accesses the path summed before it."""
         j = ", _R - _r" if loops else ""
-        if inline is None:
-            return f"if _p == {k}: _p = _event(vm, thread, frame, {k}{j})"
         return (f"if _e == {k}: _p, _u, _e, _ps0, _cf0, _cc, _c0, _mt, _mc"
                 f" = _event(vm, thread, frame, {k}, {presum[k]}, _p, _u,"
                 f" _cc, _cf0, _cf, _ps0, _c0, {counted}, _mt, _mc{j})")
@@ -568,8 +539,6 @@ def _build_region(function: "Function", head: int,
         """Lines charging the open run up to offset ``j`` of the pass,
         from its static prefix sum, and handing the CPU its carry and
         redraw countdown there."""
-        if inline is None:
-            return []
         at, left = ((presum[j], f"_u - {j - 1}") if isinstance(j, int)
                     else (f"_PS[{j}]", f"_u + 1 - {j}"))
         return [inline.cycles(at), "_cpu._frac = _cf",
@@ -580,8 +549,7 @@ def _build_region(function: "Function", head: int,
         row = ROWS[op]
         arg = args[pc]
         body.append(check(k))
-        body.append(f"_charge({int(classes[k])})" if inline is None
-                    else inline.carry(bases[k]))
+        body.append(inline.carry(bases[k]))
         if pc == terminator_pc:
             if row.branch:
                 cond_value = row.branch.format(v=vstack.pop())
@@ -669,11 +637,9 @@ def _build_region(function: "Function", head: int,
         # interpreter.
         target = args[terminator_pc]
         passed = counted
-        shift = [f"_p -= {n}"]
-        if inline is not None:
-            shift += [f"_u -= {n}", f"_e -= {n}", f"_ps0 -= {total}"]
-            shift += ["_c0 = 0"] if touches else []
-        taken = (access(code_window + target * 4, back_key, "_fetch")
+        shift = [f"_p -= {n}", f"_u -= {n}", f"_e -= {n}",
+                 f"_ps0 -= {total}"] + (["_c0 = 0"] if touches else [])
+        taken = (access(code_window + target * 4, back_key)
                  + ["_r -= 1", "if _r > 0:"]
                  + _indent(shift + rebind + ["continue"])
                  + settle(n) + leave(0, 0, 0, None)
@@ -724,8 +690,7 @@ def _build_region(function: "Function", head: int,
         prologue += ["_hget = vm.heap.get", "_hobj = vm.heap._objects"]
     if loops:
         prologue.append("_R = _r")
-    if inline is not None:
-        prologue += _OPEN
+    prologue += _OPEN
 
     # A self-loop body iterates in-function and writes the stack back
     # once it leaves; a throw anywhere leaves through the side exit.

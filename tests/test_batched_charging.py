@@ -38,6 +38,7 @@ from repro.machine.platform import (_ACC_INSTR, _ACC_SOURCES,
                                     TimedCorePlatform, batching_enabled)
 from repro.obs import Observability
 from repro.obs.ledger import Source
+from repro.vm.interpreter import Interpreter
 
 REQUESTS = 5
 
@@ -418,8 +419,11 @@ def test_no_ledger_charge_is_plain_accumulation():
 
 def test_non_lru_l1_runs_the_unbatched_reference(monkeypatch):
     """The batched memory template's L1 hit is an LRU move, so a machine
-    whose L1 uses another policy binds the unbatched reference and plays
-    to the same cycles as ``REPRO_NO_BATCH=1``."""
+    whose L1 uses another policy binds the unbatched reference, which
+    lends no block templates: it runs on the interpreter, where the
+    default machine tiers up, and plays to the same cycles as
+    ``REPRO_NO_BATCH=1``."""
+    monkeypatch.delenv("REPRO_NO_JIT", raising=False)
     config = MachineConfig()
     fifo = replace(config, l1_config=replace(config.l1_config,
                                              policy=ReplacementPolicy.FIFO))
@@ -428,9 +432,13 @@ def test_non_lru_l1_runs_the_unbatched_reference(monkeypatch):
     assert platform.mem_inline() is None
 
     program = build_kernel_program("sor", n=16, iterations=4)
-    cycles = play(program, fifo, seed=3).total_cycles
+    assert Interpreter(program, platform).jit is None
+    assert play(program, config, seed=3).jit is not None
+    played = play(program, fifo, seed=3)
+    assert played.jit is None
     monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    assert play(program, fifo, seed=3).total_cycles == cycles == 878_452
+    assert play(program, fifo, seed=3).total_cycles == played.total_cycles \
+        == 878_452
 
 
 def test_mem_access_code_is_shared_across_platforms():

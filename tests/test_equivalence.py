@@ -15,9 +15,11 @@ knob on and compares every part's JSON.
 
 ``REPRO_NO_JIT`` and ``REPRO_NO_BATCH`` are cleared for the baselines
 and set per cell, so the cells still compare when the whole suite runs
-under one of them.  ``python tests/test_equivalence.py`` prints one
-sha256 per :data:`FRESH` scenario; the fresh-process cells compare
-those with this process's baselines.
+under one of them.  Either keeps every run on the interpreter: the
+unbatched reference platform lends compiled blocks no templates.
+``python tests/test_equivalence.py`` prints one sha256 per
+:data:`FRESH` scenario; the fresh-process cells compare those with this
+process's baselines.
 """
 
 from __future__ import annotations
@@ -308,8 +310,9 @@ def _observers_off(parts: dict, off: tuple) -> dict:
 
 def _profile_totals(parts: dict) -> dict:
     """``parts`` with each profile cut to what the tier-up may not move:
-    compiled blocks add boundary samples, so under ``REPRO_NO_JIT`` only
-    a profile's ``sources`` and ``total_cycles`` stay equal."""
+    compiled blocks add boundary samples, so on the interpreter
+    (``REPRO_NO_JIT`` or ``REPRO_NO_BATCH``) only a profile's
+    ``sources`` and ``total_cycles`` stay equal."""
     return {name: ({key: value[key] for key in ("sources", "total_cycles")}
                    if name.endswith("profile") else value)
             for name, value in parts.items()}
@@ -370,8 +373,13 @@ CELLS = {
     "table2": ("no-jit", "no-batch"),
     "nfs-profile": ("rerun", "no-jit", "no-batch"),
     "exec-profile": ("rerun", "no-jit", "no-batch"),
-    "fleet-observed": ("jobs-4", "jobs-4+no-jit"),
+    "fleet-observed": ("jobs-4", "jobs-4+no-jit", "jobs-4+no-batch"),
 }
+
+#: Scenarios whose ``no-batch`` cell also compares every part, profiles
+#: whole, with a ``REPRO_NO_JIT`` run: batching is invisible to
+#: per-frame attribution.
+WHOLE_PROFILES = ("nfs-profile", "exec-profile")
 
 
 def _json(value) -> str:
@@ -435,8 +443,17 @@ def test_cell(scenario, knob, baselines, request, monkeypatch):
         # A cached replay does not execute, so it traces nothing.
         expected, got = ({name: value for name, value in parts.items()
                           if name != "trace"} for parts in (expected, got))
-    if "no-jit" in knobs:
-        # The switch must reach every run, worker processes included.
+    if knob == "no-batch" and scenario in WHOLE_PROFILES:
+        monkeypatch.delenv("REPRO_NO_BATCH")
+        monkeypatch.setenv("REPRO_NO_JIT", "1")
+        interpreted = SCENARIOS[scenario]()
+        assert got.keys() == interpreted.keys()
+        differ = [name for name in got
+                  if _json(got[name]) != _json(interpreted[name])]
+        assert not differ, f"{scenario}: {differ} differ from no-jit"
+    if "no-jit" in knobs or "no-batch" in knobs:
+        # Either switch keeps every run on the interpreter, and must
+        # reach every run, worker processes included.
         expected = _profile_totals(expected)
         if "tier_up" in expected:
             expected["tier_up"] = [False] * len(expected["tier_up"])

@@ -4,9 +4,10 @@ operands, a compiled trace block against the reference interpreter.
 For every opcode the trace compiler accepts, Hypothesis draws operands
 (edge values included: 0, +-1, the int64 extremes, +-0.0, large and
 non-finite floats, out-of-range indices, null and dangling handles) and
-runs one short region holding the opcode twice: on the pure interpreter
-(the ``REPRO_NO_JIT=1`` path) and as a compiled block, on the batched
-platform and on the unbatched reference (``REPRO_NO_BATCH=1``).  The two
+runs one short region holding the opcode three times: as a compiled
+block on the batched platform, on the batched platform's interpreter
+(the ``REPRO_NO_JIT=1`` path) and on the unbatched reference
+(``REPRO_NO_BATCH=1``, which runs on the interpreter too).  The three
 runs must leave the same operand stack, locals, globals, heap contents,
 thrown code, ``frame.pc``, counters, clock and ledger.
 
@@ -368,14 +369,9 @@ def test_compiled_block_matches_interpreter_and_oracle(op, data):
     code, head, outcomes = _layout(op, imm, operands, mode, flavour)
     stack = below + list(operands) if mode == "stack" else []
 
-    runs = {}
-    for batched in (True, False):
-        for jit in (False, True):
-            runs[batched, jit] = _run(code, head, state, stack, jit,
-                                      batched)
-        assert runs[batched, True] == runs[batched, False]
-    assert runs[True, False]["instructions"] == \
-        runs[False, False]["instructions"]
+    runs = {(batched, jit): _run(code, head, state, stack, jit, batched)
+            for batched, jit in ((True, True), (True, False), (False, False))}
+    assert runs[True, True] == runs[True, False] == runs[False, False]
     expected = _expected(op, imm, operands, state, code, outcomes, below)
     observed = runs[True, False]
     assert {key: observed[key] for key in expected} == expected

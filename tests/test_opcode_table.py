@@ -21,7 +21,7 @@ from repro.apps import build_kernel_program
 from repro.core.tdr import play
 from repro.machine import MachineConfig
 from repro.machine.machine import Machine
-from repro.vm import NullPlatform, interpreter
+from repro.vm import interpreter
 from repro.vm.interpreter import Interpreter, render_ladder
 from repro.vm.isa import ROWS, Op, wrap_i64
 from repro.vm.program import Function
@@ -74,17 +74,12 @@ def _aload_function() -> Function:
     return function
 
 
-@pytest.mark.parametrize("batched", (True, False))
-def test_aload_bounds_check_precedes_its_access_in_both_tiers(monkeypatch,
-                                                               batched):
+def test_aload_bounds_check_precedes_its_access_in_both_tiers(monkeypatch):
     arm = _arms()[Op.ALOAD]
     assert arm.index("raise GuestThrow(-2)") < \
         next(i for i, line in enumerate(arm) if line.startswith("mem("))
 
-    if batched:
-        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     platform = Machine(MachineConfig(), seed=0, mode="play").platform
     source = _build_region(_aload_function(), 0, platform)["source"]
     assert 0 < source.index("raise _GT(-2)") < \
@@ -101,13 +96,16 @@ WRAP_EDGES = sorted({sign * (1 << bits) + delta for bits in (63, 64, 127)
 @functools.cache
 def _iadd_tiers():
     """Both tiers' IADD: the interpreter's arm and a compiled block of
-    ``IADD, NOP, NOP`` on the flat-cost platform."""
+    ``IADD, NOP, NOP`` on a batched machine's platform."""
     code = [(Op.IADD, None), (Op.NOP, None), (Op.NOP, None),
             (Op.HALT, None)]
     function = Function("f", 0, 0, ops=[int(op) for op, _ in code],
                         args=[arg for _, arg in code])
     function.index = 0
-    block = compile_region(function, 0, NullPlatform())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_NO_BATCH", raising=False)
+        platform = Machine(MachineConfig(), seed=0, mode="play").platform
+    block = compile_region(function, 0, platform)
     return compile("\n".join(_arms()[Op.IADD]), "<arm>", "exec"), block
 
 

@@ -202,9 +202,13 @@ class TestForensicsRazor:
 
 class TestExports:
     @pytest.fixture(scope="class")
-    def profile(self, nfs_program):
-        trip = _round_trip(nfs_program, obs=Observability(profile=True))
-        return trip.play.profile
+    def played(self, nfs_program):
+        return _round_trip(nfs_program,
+                           obs=Observability(profile=True)).play
+
+    @pytest.fixture(scope="class")
+    def profile(self, played):
+        return played.profile
 
     def test_folded_lines_sum_to_ledger_total(self, profile):
         lines = folded_lines(profile)
@@ -216,10 +220,8 @@ class TestExports:
             stack, weight = line.rsplit(" ", 1)
             assert stack and weight.isdigit()
 
-    def test_folded_jit_annotation(self, profile):
-        import os
-
-        if os.environ.get("REPRO_NO_JIT"):
+    def test_folded_jit_annotation(self, played, profile):
+        if played.jit is None:      # REPRO_NO_JIT or REPRO_NO_BATCH
             pytest.skip("pure-interpreter reference: no jit-tier frames")
         assert any(e["tier"] == "jit" for e in profile["stacks"])
         assert any("_[j];" in line for line in folded_lines(profile))
@@ -311,10 +313,12 @@ class TestCli:
         assert status == 0
         assert "attributed exactly" in out
         # Satellite: stored runs annotate compiled regions from the
-        # persisted tier-up summary (skipped under REPRO_NO_JIT).
-        import os
+        # persisted tier-up summary (skipped when the run did not tier
+        # up: under REPRO_NO_JIT or REPRO_NO_BATCH).
+        from repro.obs.runstore import RunStore
 
-        if not os.environ.get("REPRO_NO_JIT"):
+        store = RunStore(store_root)
+        if "jit" in store.load(store.latest()["run_id"]).figures:
             assert "compiled regions (play):" in out
             assert "side-exits" in out
 

@@ -80,6 +80,25 @@ class TestReproduceCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--covert", "nope", "--requests", "2"],
+        ["serve", "--covert", "nope", "--tenants", "2", "--epochs", "1",
+         "--requests", "2"],
+        ["fleet-audit", "--covert", "nope", "--nodes", "2", "--tenants",
+         "2", "--epochs", "1", "--requests", "2"],
+    ])
+    def test_unknown_covert_channel_exits_usage(self, capsys, argv):
+        # Exit 1 is reserved for "flagged": an unknown channel is a
+        # usage error, rejected before anything runs, with one line
+        # naming the known channels.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "unknown covert channel 'nope'" in captured.err
+        assert "ipctc" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_runs_small_experiment(self, capsys):
         assert main(["sec65", "--requests", "8"]) == 0
         out = capsys.readouterr().out

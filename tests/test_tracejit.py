@@ -49,9 +49,12 @@ REQUESTS = 5
 @pytest.fixture(autouse=True)
 def _jit_on_by_default(monkeypatch):
     """These are differential tests: each one flips the switch itself,
-    so an ambient ``REPRO_NO_JIT`` (e.g. CI's no-JIT tier-1 leg) must
-    not pre-disable the tier-up side of the comparison."""
+    so an ambient ``REPRO_NO_JIT`` or ``REPRO_NO_BATCH`` (CI's no-JIT
+    and no-batch tier-1 legs, each of which keeps runs on the
+    interpreter) must not pre-disable the tier-up side of the
+    comparison."""
     monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -113,21 +116,42 @@ class TestRazorSideExit:
 
 class TestUnits:
     def test_escape_hatch(self, monkeypatch):
+        """``REPRO_NO_JIT=1`` turns the tier-up off, and so does a
+        platform that lends no block templates: the unbatched reference
+        (``REPRO_NO_BATCH=1``) and ``NullPlatform`` run on the
+        interpreter, where the default machine tiers up."""
+        from repro.vm import NullPlatform
+
+        program = build_kernel_program("sor", n=8, iterations=2)
+
+        def tiers_up() -> tuple[bool, bool]:
+            """Whether a new interpreter and a play on the default
+            machine tier up."""
+            machine = Machine(MachineConfig(), seed=0, mode="play")
+            return (Interpreter(program, machine.platform).jit is not None,
+                    play(program, MachineConfig(), seed=0).jit is not None)
+
         assert jit_enabled()
+        assert tiers_up() == (True, True)
+        assert Interpreter(program, NullPlatform()).jit is None
+        monkeypatch.setenv("REPRO_NO_BATCH", "1")
+        assert tiers_up() == (False, False)
+        monkeypatch.delenv("REPRO_NO_BATCH")
         monkeypatch.setenv("REPRO_NO_JIT", "1")
         assert not jit_enabled()
+        assert tiers_up() == (False, False)
 
     def test_compile_region_skips_tiny_regions(self):
         from repro.asm import assemble
         from repro.vm import NullPlatform
 
-        platform = NullPlatform()
         program = assemble("""
         .func main 0 1
             iconst 1
             ret
-        """, natives=platform)
+        """, natives=NullPlatform())
         function = program.function("main")
+        platform = Machine(MachineConfig(), seed=0, mode="play").platform
         assert compile_region(function, 0, platform) is None
 
     def test_artifact_cache_shares_code_across_runs(self):
@@ -645,8 +669,7 @@ def _count_in_block_polls(patch) -> collections.Counter:
     in the pass before the poll or after it (or at the polled
     instruction), taking an IRQ or a preemption that pollutes the
     caches, and block calls that throw after one; the redraws blocks
-    run; and each block's calls of ``_event`` (``event_calls``) and of
-    the per-instruction ``_charge`` (``charge_calls``)."""
+    run; and each block's calls of ``_event`` (``event_calls``)."""
     seen: collections.Counter = collections.Counter()
     poll = Interpreter.poll
     pollute = CacheHierarchy.pollute
@@ -662,14 +685,14 @@ def _count_in_block_polls(patch) -> collections.Counter:
         caller = event_frame()
         if caller is None:
             return poll(self, thread, function, pc, op)
-        k, u, j = (caller.f_locals.get(name) for name in ("_k", "_u", "_j"))
+        k, u, j = (caller.f_locals[name] for name in ("_k", "_u", "_j"))
         seen["in_block"] += 1
         seen["in_later_iteration"] += j > 0
-        if u is not None:   # batched: ``_u`` is the next redraw's offset
-            period = self.platform.cpu.config.speculation_period
-            seen["redraw_before"] += u - period >= 0
-            seen["redraw_after"] += u < caller.f_globals["_N"]
-            seen["redraw_at_poll"] += u == k
+        # ``_u`` is the next redraw's offset.
+        period = self.platform.cpu.config.speculation_period
+        seen["redraw_before"] += u - period >= 0
+        seen["redraw_after"] += u < caller.f_globals["_N"]
+        seen["redraw_at_poll"] += u == k
         seen["in_poll"] = 1
         try:
             poll(self, thread, function, pc, op)
@@ -691,14 +714,13 @@ def _count_in_block_polls(patch) -> collections.Counter:
         if block is not None:
             run = block.run
             namespace = run.__globals__
-            for name in ("_event", "_charge"):
-                call = namespace[name]
+            event = namespace["_event"]
 
-                def calling(*call_args, _call=call, _name=name):
-                    seen[f"{_name[1:]}_calls"] += 1
-                    return _call(*call_args)
+            def calling(*call_args):
+                seen["event_calls"] += 1
+                return event(*call_args)
 
-                namespace[name] = calling
+            namespace["_event"] = calling
 
             def running(*call):
                 before = seen["in_block"]
@@ -778,7 +800,6 @@ class TestWorkCounts:
         assert entries > 0 and seen["in_block"] > 0 and seen["redraw"] > 0
         assert seen["event_calls"] == (seen["in_block"] + seen["redraw"]
                                        - seen["redraw_at_poll"]), seen
-        assert seen["charge_calls"] == 0, seen
 
     def test_blocks_record_branches_and_dereference_inline(
             self, nfs_program):
