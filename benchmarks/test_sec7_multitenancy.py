@@ -89,12 +89,14 @@ def test_sec7_multitenancy(benchmark, nfs_program):
 
 
 def _run_service(config: MachineConfig):
-    """One verifier-service run under ``config``; returns (report, wall_s)."""
+    """One verifier-service run under ``config``, on the one-node fleet
+    ``reproduce serve`` runs; returns (report, wall_s)."""
     from repro.obs.metrics import MetricsRegistry
-    from repro.service import AuditService, default_tenants
+    from repro.service import FleetService, FleetTopology, default_tenants
 
-    service = AuditService(
+    service = FleetService(
         default_tenants(SERVICE_TENANTS, requests=SERVICE_REQUESTS),
+        topology=FleetTopology(num_nodes=1),
         epochs=SERVICE_EPOCHS, seed=42, config=config,
         registry=MetricsRegistry())
     start = time.perf_counter()

@@ -3,7 +3,8 @@
 
 Earlier revisions of this example audited one machine after the fact.
 This one drives ``repro.service`` — the deterministic continuous-audit
-verifier — end to end, on a roster of three tenants:
+verifier fleet, here on one node as ``reproduce serve`` runs it — end
+to end, on a roster of three tenants:
 
 * **tenant-00** runs an honest key-value store;
 * **tenant-01** runs the same store but leaks a secret through an
@@ -23,7 +24,7 @@ Run:  python examples/audited_service.py
 
 from repro.core.resilience import AuditClassification
 from repro.obs.metrics import MetricsRegistry
-from repro.service import AuditService, default_tenants
+from repro.service import FleetService, FleetTopology, default_tenants
 
 TENANTS = 3
 EPOCHS = 2
@@ -43,7 +44,8 @@ def main() -> None:
               f"{spec.segments} segments/epoch"
               + (f" — {', '.join(traits)}" if traits else ""))
 
-    service = AuditService(roster, epochs=EPOCHS, seed=SEED,
+    service = FleetService(roster, topology=FleetTopology(num_nodes=1),
+                           epochs=EPOCHS, seed=SEED,
                            registry=MetricsRegistry())
     report = service.run()
 

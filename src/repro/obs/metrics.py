@@ -505,18 +505,3 @@ class time_phase:
             help=f"wall-clock seconds spent in the '{self.name}' phase",
         ).observe(self.seconds)
         return False
-
-
-def phase_report(registry: MetricsRegistry | None = None
-                 ) -> list[tuple[str, int, float]]:
-    """``(phase, runs, total_seconds)`` rows for every timed phase."""
-    registry = registry if registry is not None else get_registry()
-    if not registry.enabled:
-        return []
-    rows = []
-    for name, inst in sorted(registry._instruments.items()):
-        if (name.startswith("phase_") and name.endswith("_seconds")
-                and isinstance(inst, Histogram)):
-            rows.append((name[len("phase_"):-len("_seconds")],
-                         inst.count, inst.sum))
-    return rows

@@ -67,8 +67,8 @@ def attribution_lines(record) -> list[str]:
 
 
 def phase_rows(metrics: dict) -> list[tuple[str, int, float]]:
-    """``(phase, runs, total_seconds)`` from a persisted metrics snapshot
-    (the stored twin of :func:`repro.obs.metrics.phase_report`)."""
+    """``(phase, runs, total_seconds)`` from a metrics snapshot, live
+    (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`) or persisted."""
     rows = []
     for name, inst in sorted(metrics.items()):
         if (name.startswith("phase_") and name.endswith("_seconds")

@@ -1,10 +1,11 @@
 """repro.service — a deterministic continuous-audit verifier service.
 
 The §3.2 deployment story made executable: tenants (prover machines)
-stream hash-chained log segments to a verifier daemon that admits,
+stream hash-chained log segments to a verifier fleet that admits,
 queues, schedules, and escalates incremental replay audits — all under a
 seeded discrete-event clock, so an entire multi-tenant service run is a
-pure function of its seed.
+pure function of its seed.  ``reproduce serve`` runs the fleet on one
+node; ``reproduce fleet-audit`` on N nodes under node chaos.
 
 Modules
 -------
@@ -13,15 +14,15 @@ Modules
 ``ingest``      admission: CRC + attestation-chain checks, gap discipline
 ``queue``       priority job queue with budgets and backpressure
 ``scheduler``   escalation state machine + cache-backed fleet dispatch
-``verdicts``    per-tenant ledgers, metrics, the run report
-``daemon``      the epoch loop tying it all together (one node)
+``verdicts``    per-tenant ledgers, the idempotent verdict sink
+``daemon``      the prover side: the default roster, play and ship
 ``ring``        consistent-hash tenant placement for the sharded fleet
 ``failure``     heartbeat failure detection over virtual time
-``fleet``       N-node sharded deployment: chaos, rebalance, degradation
+``fleet``       the epoch loop on N nodes: chaos, rebalance, degradation,
+                the run report
 """
 
-from repro.service.daemon import (AuditService, default_tenants,
-                                  persist_service_report, play_and_ship)
+from repro.service.daemon import default_tenants, play_and_ship
 from repro.service.failure import FailureDetector, NodeHealth
 from repro.service.fleet import (FleetNode, FleetReport, FleetService,
                                  FleetTopology, RebalanceEvent,
@@ -39,7 +40,7 @@ from repro.service.session import (EpochShipment, ProverSession,
                                    WireObservation)
 from repro.service.simclock import (ServiceError, SimClock, SimEvent,
                                     WorkerPool)
-from repro.service.verdicts import (AuditEvent, ServiceReport, TenantLedger,
+from repro.service.verdicts import (AuditEvent, TenantLedger,
                                     UnauditedRecord, VerdictSink)
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "AuditJob",
     "AuditQueue",
     "AuditScheduler",
-    "AuditService",
     "EpochAccumulator",
     "EpochShipment",
     "EscalationPolicy",
@@ -69,7 +69,6 @@ __all__ = [
     "ReplayTask",
     "SegmentShipment",
     "ServiceError",
-    "ServiceReport",
     "SimClock",
     "SimEvent",
     "TenantLedger",
@@ -83,7 +82,6 @@ __all__ = [
     "default_tenants",
     "execute_replay_task",
     "persist_fleet_report",
-    "persist_service_report",
     "play_and_ship",
     "resolve_replays",
 ]

@@ -1,8 +1,8 @@
 """A sharded verifier fleet with chaos, rebalance, and graceful degradation.
 
-:class:`FleetService` scales the single-node
-:class:`~repro.service.daemon.AuditService` out to N verifier nodes on
-the *same* discrete-event clock:
+:class:`FleetService` is the verifier service: ``reproduce serve`` runs
+it on one node and ``reproduce fleet-audit`` on N nodes, all on one
+discrete-event clock:
 
 * **Placement** — tenants are owned via a consistent-hash
   :class:`~repro.service.ring.HashRing` (removing a node moves only its
@@ -35,13 +35,12 @@ ledger sums across reruns and across ``jobs=1`` vs ``jobs=4``, because
 every decision keys off virtual time and the seed — including the
 failure detector's.
 
-Dispatch works as a discrete-event loop rather than the daemon's
-drain-then-audit phases: queued jobs are priced onto their node's
-virtual worker pool the moment they could start, and their *judgement*
-is a scheduled completion event.  A crash that lands between a job's
-start and completion therefore kills it in flight — the verdict is
-discarded and the job is redelivered by the rebalance, exercising the
-at-least-once path for real.
+Dispatch works as a discrete-event loop: queued jobs are priced onto
+their node's virtual worker pool the moment they could start, and their
+*judgement* is a scheduled completion event.  A crash that lands
+between a job's start and completion therefore kills it in flight — the
+verdict is discarded and the job is redelivered by the rebalance,
+exercising the at-least-once path for real.
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ class FleetService:
         self.dist = DistTracer(seed=seed)
         self.gate = IngestGate(self.specs, registry=self.registry)
         #: One idempotent verdict history for the whole fleet.
-        self.sink = VerdictSink(registry=self.registry, dedupe=True)
+        self.sink = VerdictSink(registry=self.registry)
         #: Shared tenant state machines: escalation history must follow
         #: a tenant to its new owner after a rebalance.
         self.states = {tid: TenantState(spec=spec)

@@ -14,7 +14,10 @@ layer spends the cheap checks first, PeerReview-style:
 3. **Gap discipline** — once a chunk is damaged or lost, later chunks of
    the same epoch are quarantined rather than appended: splicing entries
    after a gap would produce a log the chain can never match, and a
-   fabricated "tamper" verdict for what is really transfer damage.
+   fabricated "tamper" verdict for what is really transfer damage.  A
+   chunk that arrives before its predecessor (lossy-link retries can
+   reorder them) opens the gap the same way: appending it would splice
+   a log whose instruction counts run backwards.
 
 The accumulator owns the verifier-side copy of each tenant-epoch's log;
 schedulable audit work only ever sees entries that came through here.
@@ -63,7 +66,7 @@ class EpochAccumulator:
     log: EventLog = field(default_factory=EventLog)
     segments_seen: int = 0
     segments_admitted: int = 0
-    gap: bool = False                  #: a chunk was damaged or lost
+    gap: bool = False                  #: a chunk was damaged, lost or late
     tampered: bool = False
     #: Wire-observed transmissions audited so far (set by the scheduler).
     last_audited_entries: int = 0
@@ -97,15 +100,20 @@ class IngestGate:
         damaged = shipment.degraded or not parse.complete
         intact = parse.log.entries[:parse.intact_entries]
 
-        if acc.gap:
-            # Entries after a gap cannot extend the chained prefix.
+        out_of_order = shipment.seq != acc.segments_seen - 1
+        if acc.gap or out_of_order:
+            # Entries after a gap, or out of their epoch's order, cannot
+            # extend the chained prefix.
+            acc.gap = True
+            cause = (f"segment {shipment.seq} arrived out of order"
+                     if out_of_order else
+                     "a prior segment of this epoch was damaged")
             record = AdmissionRecord(
                 shipment, AdmissionStatus.QUARANTINED,
                 intact_entries=len(intact),
                 accumulated_entries=len(acc.log.entries),
                 chain_ok=None,
-                detail="a prior segment of this epoch was damaged; the "
-                       "chain cannot be extended past the gap")
+                detail=f"{cause}; the chain cannot be extended past the gap")
             self._count(record)
             return record
 

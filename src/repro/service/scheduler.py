@@ -11,6 +11,8 @@ results into tenant state transitions:
         payload mismatch  -> FLAGGED_DIVERGENT
     any tamper signal (chain mismatch at ingest) --> escalated replay
         --> FLAGGED_TAMPER
+    FLAGGED_* --spot-check anomaly--> recorded replay-divergent, no
+        escalation
 
 Two cost regimes implement the "cheap first" rule.  A *spot check* runs
 when the epoch's first segment lands: it replays only the entries
@@ -21,6 +23,13 @@ prefix.  A *full audit* runs at the epoch's final segment on a cadence
 log — this is what catches shape-mimicking channels a short prefix might
 miss.  Escalations replay the full prefix immediately and preempt
 everything else in the queue.
+
+The fleet (:class:`~repro.service.fleet.FleetService`) runs one
+scheduler per node: it routes each admitted segment to its owner's
+:meth:`AuditScheduler.note_admission`, resolves every dispatchable
+node's queue in one :func:`resolve_replays` round, and calls
+:meth:`~AuditScheduler.price` at dispatch and
+:meth:`~AuditScheduler.complete` when the job's completion event fires.
 
 Determinism: all real replay execution happens in submission-order
 :func:`~repro.analysis.parallel.run_fleet` batches, while *time* (start,
@@ -153,8 +162,8 @@ def resolve_replays(work: "list[tuple]", jobs: int | None = None
     """Resolve a dispatch round of jobs into replay outcomes.
 
     ``work`` is ``[(scheduler, job, gate), ...]`` in submission order —
-    one scheduler repeated for a single-node round, or several when a
-    fleet batches a round across nodes.  Each job is prepared against
+    every queued job of every node that can dispatch (one scheduler
+    repeated on a one-node fleet).  Each job is prepared against
     its own scheduler's cache (so per-node hit/miss attribution holds),
     identical replays are deduped across the whole round, the unique
     misses run in one submission-ordered fleet batch, and duplicates
@@ -231,7 +240,7 @@ class AuditScheduler:
         #: Verifier-observed wire traces, keyed ``(tenant_id, epoch)``.
         #: Fleet-shared for the same reason as ``states``.
         self.wires: dict[tuple[str, int], WireObservation] = {}
-        #: Which fleet node hosts this scheduler ("" = standalone daemon).
+        #: Which fleet node hosts this scheduler ("" = standalone).
         self.node_id = node_id
         #: Virtual service-time multiplier (a slow-node fault raises it).
         self.time_factor = 1.0
@@ -338,25 +347,6 @@ class AuditScheduler:
 
     # -- dispatch ----------------------------------------------------------
 
-    def run_pending(self, gate: IngestGate,
-                    jobs: int | None = None) -> list[AuditEvent]:
-        """Drain the queue, batch replays over the fleet, judge results.
-
-        Escalations spawned by a batch land in the queue and run in the
-        next round; the loop ends when a round escalates nothing.
-        """
-        events: list[AuditEvent] = []
-        while self.queue:
-            batch = self.queue.drain()
-            prepared = resolve_replays([(self, job, gate) for job in batch],
-                                       jobs=jobs)
-            for job, p in zip(batch, prepared):
-                self.price(job, p)
-                event = self.complete(job, p, gate)
-                if event is not None:
-                    events.append(event)
-        return events
-
     def _prepare(self, job: AuditJob, gate: IngestGate
                  ) -> tuple[ReplayTask | None, ReplayTaskResult | None, bool]:
         """Resolve one job against the cache.
@@ -419,7 +409,7 @@ class AuditScheduler:
         job's identity — the at-least-once redelivery case, where the
         whole judgement (state transition included) must not repeat.
         """
-        if self.sink.dedupe and self.sink.already_recorded(job.session_key):
+        if self.sink.already_recorded(job.session_key):
             self.sink.count_duplicate()
             return None
         acc = gate.accumulator(job.tenant_id, job.epoch)
@@ -514,10 +504,13 @@ class AuditScheduler:
                 return AuditClassification.TRANSFER_DEGRADED, None
             return AuditClassification.CLEAN, None
 
-        # Spot checks never flag on their own — they escalate.
-        if (timing_anomaly or payload_mismatch) and not was_flagged:
-            state.status = TenantStatus.SUSPECT
+        # Spot checks never flag on their own — they escalate, unless the
+        # tenant is flagged already: then the anomaly is only recorded.
+        if timing_anomaly or payload_mismatch:
             state.anomalies += 1
+            if was_flagged:
+                return AuditClassification.REPLAY_DIVERGENT, None
+            state.status = TenantStatus.SUSPECT
             state.escalations += 1
             follow_up = self._job(
                 job.tenant_id, job.epoch, "escalated", PRIORITY_ESCALATED,

@@ -1,13 +1,13 @@
-"""Per-tenant verdict ledgers and the service run report.
+"""Per-tenant verdict ledgers and the idempotent verdict sink.
 
 Every audit the scheduler completes lands here as an immutable
 :class:`AuditEvent`.  The :class:`VerdictSink` folds events into
 per-tenant :class:`TenantLedger` rows and the service-level metrics
-(queue latency, audits by kind, deadline misses); the
-:class:`ServiceReport` renders the CLI tables and carries the exact
-dictionary the determinism tests compare across runs and ``--jobs``
-settings — so everything in it is derived from virtual time and seeded
-replay, never the host clock.
+(queue latency, audits by kind, deadline misses); the fleet's
+:class:`~repro.service.fleet.FleetReport` renders the ledgers and
+carries them in the dictionary the determinism tests compare across
+runs and ``--jobs`` settings — so everything here is derived from
+virtual time and seeded replay, never the host clock.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class AuditEvent:
     cache_hit: bool
     max_rel_ipd_diff: float
     detail: str = ""
-    node: str = ""                #: fleet node that judged it ("" = single)
+    node: str = ""                #: judging node ("" = standalone scheduler)
 
     @property
     def dedup_key(self) -> tuple:
@@ -174,25 +174,21 @@ class TenantLedger:
 class VerdictSink:
     """Collects audit events into ledgers and service metrics.
 
-    With ``dedupe=True`` the sink is idempotent on
-    :attr:`AuditEvent.dedup_key`: the fleet's rebalance path delivers
-    jobs at least once, and the second verdict for the same (tenant,
-    epoch, kind, cause) is counted and discarded rather than double-
-    booked.  The single-node service keeps exact-once dispatch and the
-    default off.
+    The sink is idempotent on :attr:`AuditEvent.dedup_key`: the fleet's
+    rebalance path delivers jobs at least once, and the second verdict
+    for the same (tenant, epoch, kind, cause) is counted and discarded
+    rather than double-booked.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 dedupe: bool = False) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else get_registry()
         self.ledgers: dict[str, TenantLedger] = {}
         self.events: list[AuditEvent] = []
-        self.dedupe = dedupe
         self.deduped = 0
         self._seen_keys: set[tuple] = set()
 
     def already_recorded(self, key: tuple) -> bool:
-        """Whether a verdict with this dedup key has landed (dedupe mode)."""
+        """Whether a verdict with this dedup key has landed."""
         return key in self._seen_keys
 
     def count_duplicate(self) -> None:
@@ -206,12 +202,11 @@ class VerdictSink:
 
     def record(self, event: AuditEvent) -> bool:
         """Fold one event in; False when dedup discarded a duplicate."""
-        if self.dedupe:
-            key = event.dedup_key
-            if key in self._seen_keys:
-                self.count_duplicate()
-                return False
-            self._seen_keys.add(key)
+        key = event.dedup_key
+        if key in self._seen_keys:
+            self.count_duplicate()
+            return False
+        self._seen_keys.add(key)
         self.events.append(event)
         ledger = self.ledgers.get(event.tenant_id)
         if ledger is None:
@@ -240,88 +235,3 @@ class VerdictSink:
                              "Audits completed after their SLO deadline"
                              ).inc()
         return True
-
-
-@dataclass
-class ServiceReport:
-    """The complete, deterministic outcome of one service run."""
-
-    seed: int
-    epochs: int
-    ledgers: dict[str, TenantLedger]
-    queue_stats: dict
-    utilization: float
-    num_workers: int
-    cache_hits: int
-    cache_misses: int
-    horizon_ms: float             #: virtual time at which the run ended
-    segments_shipped: int = 0
-    metrics: dict = field(default_factory=dict)
-
-    @property
-    def flagged_tenants(self) -> list[str]:
-        return sorted(t for t, l in self.ledgers.items() if l.flagged)
-
-    @property
-    def exit_code(self) -> int:
-        """Non-zero when any tenant ended flagged — the CLI contract."""
-        return 1 if self.flagged_tenants else 0
-
-    def verdicts_dict(self) -> dict:
-        """The canonical comparison payload for the determinism tests."""
-        return {"seed": self.seed,
-                "epochs": self.epochs,
-                "horizon_ms": round(self.horizon_ms, 3),
-                "utilization": round(self.utilization, 4),
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "segments_shipped": self.segments_shipped,
-                "queue": dict(self.queue_stats),
-                "flagged": self.flagged_tenants,
-                "tenants": {tid: ledger.to_json_dict()
-                            for tid, ledger in sorted(self.ledgers.items())}}
-
-    # -- rendering ---------------------------------------------------------
-
-    def render_lines(self) -> list[str]:
-        lines = [
-            f"service run: seed={self.seed} epochs={self.epochs} "
-            f"tenants={len(self.ledgers)} workers={self.num_workers}",
-            f"virtual horizon {self.horizon_ms:.1f} ms; worker utilization "
-            f"{self.utilization:.1%}; replay cache {self.cache_hits} hits / "
-            f"{self.cache_misses} misses",
-            "",
-            f"{'tenant':<12} {'verdict':<22} {'audits':>6} {'spot':>5} "
-            f"{'full':>5} {'escal':>6} {'anom':>5} {'degr':>5}",
-        ]
-        for tid in sorted(self.ledgers):
-            ledger = self.ledgers[tid]
-            lines.append(
-                f"{tid:<12} {ledger.verdict:<22} {ledger.audits:>6} "
-                f"{ledger.spot_checks:>5} {ledger.full_audits:>5} "
-                f"{ledger.escalations:>6} {ledger.anomalies:>5} "
-                f"{ledger.degraded_audits:>5}")
-        queue = self.queue_stats
-        lines += [
-            "",
-            f"{'tenant':<12} {'mean wait ms':>12} {'max wait ms':>12} "
-            f"{'cache hits':>10} {'SLO miss':>8}",
-        ]
-        for tid in sorted(self.ledgers):
-            ledger = self.ledgers[tid]
-            lines.append(
-                f"{tid:<12} {ledger.mean_queue_latency_ms:>12.3f} "
-                f"{ledger.max_queue_latency_ms:>12.3f} "
-                f"{ledger.cache_hits:>10} {ledger.deadline_misses:>8}")
-        lines += [
-            "",
-            f"queue: pushed={queue.get('pushed', 0)} "
-            f"popped={queue.get('popped', 0)} shed={queue.get('shed', 0)} "
-            f"refused={queue.get('refused', 0)} "
-            f"peak_depth={queue.get('peak_depth', 0)}",
-        ]
-        if self.flagged_tenants:
-            lines.append("flagged: " + ", ".join(self.flagged_tenants))
-        else:
-            lines.append("flagged: none")
-        return lines

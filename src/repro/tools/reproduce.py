@@ -24,8 +24,10 @@ Each experiment is a quick, parameterizable version of the corresponding
 bench in ``benchmarks/`` (the benches add shape assertions and fixed
 parameters; this tool is for exploration).  With ``--store [DIR]`` the
 store-aware experiments (``fig6``, ``trace``, ``chaos``, ``fleet``,
-``serve``, ``audit``, ``exec``) persist their full evidence — ledgers, metrics,
-traces, verdicts — to a :class:`~repro.obs.runstore.RunStore`; the
+``serve``, ``fleet-audit``, ``audit``, ``exec``) persist their full
+evidence — ledgers, metrics, traces, verdicts — to a
+:class:`~repro.obs.runstore.RunStore` (``serve`` stores the one-node
+``fleet-audit`` run it makes); the
 ``runs`` / ``report`` subcommands list and re-render those artifacts.
 
 Exit codes are part of the contract: every experiment returns a status,
@@ -50,7 +52,7 @@ code  meaning
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import sys
 import time
 from pathlib import Path
@@ -69,7 +71,8 @@ from repro.machine.config import RuntimeKind
 from repro.machine.noise import scenario_config
 from repro.obs import (MITIGATED_SOURCES, Observability,
                        format_attribution_table)
-from repro.obs.metrics import MetricsRegistry, phase_report, time_phase
+from repro.obs.metrics import MetricsRegistry, time_phase
+from repro.obs.report import phase_lines
 
 #: The exit-code contract (see the module docstring and DESIGN.md).
 EXIT_CLEAN = 0
@@ -147,14 +150,12 @@ def _store(args, required: bool = False):
     return RunStore(root or None)
 
 
-def _print_phase_report(registry) -> None:
-    rows = phase_report(registry)
-    if not rows:
-        return
-    print()
-    print(f"  {'phase':24s} {'runs':>5s} {'wall-clock':>11s}")
-    for name, count, total in rows:
-        print(f"  {name:24s} {count:>5d} {total:>10.2f}s")
+def _print_phases(registry) -> None:
+    """The per-phase wall-clock table, as ``runs show`` re-renders it."""
+    lines = phase_lines(registry.snapshot())
+    if lines:
+        print()
+        print("\n".join(lines))
 
 
 def _compiled_regions_table(regions, top: int = 8) -> str:
@@ -403,7 +404,7 @@ def run_chaos(args) -> int:
             flights=[o.flight.to_json_dict() for o in outcomes
                      if o.flight is not None]))
         print(f"  [stored {run_id} in {store.root}]")
-    _print_phase_report(registry)
+    _print_phases(registry)
     return 1 if flagged else 0
 
 
@@ -520,7 +521,7 @@ def run_trace(args) -> None:
                      if outcome.audit.flight is not None else []),
             trace_ndjson=obs.tracer.to_ndjson()))
         print(f"  [stored {run_id} in {store.root}]")
-    _print_phase_report(obs.registry)
+    _print_phases(obs.registry)
 
 
 def run_fleet_exp(args) -> None:
@@ -654,36 +655,14 @@ def run_audit(args) -> int:
     return EXIT_CLEAN
 
 
-def run_serve(args) -> int:
-    _banner("Serve — continuous-audit verifier service (virtual time)")
-    from repro.service import (AuditService, default_tenants,
-                               persist_service_report)
-
-    registry = MetricsRegistry()
-    tenants = default_tenants(args.tenants, covert_channel=args.covert
-                              or "ipctc", requests=args.requests)
-    service = AuditService(tenants, epochs=args.epochs,
-                           seed=args.serve_seed, num_workers=args.workers,
-                           registry=registry)
-    with time_phase("serve.run", registry):
-        report = service.run(jobs=args.jobs if args.jobs else 1)
-    for line in report.render_lines():
-        print(f"  {line}")
-
-    store = _store(args)
-    if store is not None:
-        run_id = persist_service_report(
-            store, report,
-            label=f"{args.tenants} tenants x {args.epochs} epochs")
-        print(f"  [stored {run_id} in {store.root}]")
-    _print_phase_report(registry)
-    if report.exit_code:
-        print("  flagged tenants -> non-zero exit")
-    return report.exit_code
-
-
-def run_fleet_audit(args) -> int:
-    _banner("Fleet audit — sharded verifier fleet under node chaos")
+def run_fleet_audit(args, nodes: int | None = None) -> int:
+    """``fleet-audit`` on ``--nodes`` verifier nodes; ``serve`` is the
+    same run on ``nodes=1``."""
+    name = "fleet-audit" if nodes is None else "serve"
+    nodes = args.nodes if nodes is None else nodes
+    _banner("Fleet audit — sharded verifier fleet under node chaos"
+            if name == "fleet-audit" else
+            "Serve — continuous-audit verifier, one node (virtual time)")
     from repro.errors import ObservabilityError
     from repro.faults.plans import FaultPlanError, NodeChaosPlan
     from repro.obs.dist import SLOSpec, evaluate_slo
@@ -695,20 +674,21 @@ def run_fleet_audit(args) -> int:
         try:
             chaos = NodeChaosPlan.parse(args.chaos)
         except FaultPlanError as exc:
-            print(f"fleet-audit: bad --chaos spec: {exc}", file=sys.stderr)
+            print(f"{name}: bad --chaos spec: {exc}", file=sys.stderr)
             return EXIT_USAGE
     slo_spec = None
     if args.slo:
         try:
             slo_spec = SLOSpec.parse(args.slo)
         except ObservabilityError as exc:
-            print(f"fleet-audit: bad --slo spec: {exc}", file=sys.stderr)
+            print(f"{name}: bad --slo spec: {exc}", file=sys.stderr)
             return EXIT_USAGE
     registry = MetricsRegistry()
     tenants = default_tenants(args.tenants, covert_channel=args.covert
                               or "ipctc", requests=args.requests)
     service = FleetService(
-        tenants, topology=FleetTopology(num_nodes=args.nodes),
+        tenants, topology=FleetTopology(num_nodes=nodes,
+                                        workers_per_node=args.workers),
         epochs=args.epochs, seed=args.serve_seed, chaos=chaos,
         registry=registry)
     with time_phase("fleet_audit.run", registry):
@@ -739,10 +719,10 @@ def run_fleet_audit(args) -> int:
     if store is not None:
         run_id = persist_fleet_report(
             store, report,
-            label=f"{args.nodes} nodes x {args.tenants} tenants, "
+            label=f"{nodes} nodes x {args.tenants} tenants, "
                   f"chaos={report.chaos_spec or 'none'}")
         print(f"  [stored {run_id} in {store.root}]")
-    _print_phase_report(registry)
+    _print_phases(registry)
     breached = slo_report is not None and not slo_report.ok
     status = overall_status(report.exit_code,
                             EXIT_SLO_BREACH if breached else EXIT_CLEAN)
@@ -753,15 +733,6 @@ def run_fleet_audit(args) -> int:
     elif status == EXIT_DEGRADED:
         print("  degraded coverage (no flag) -> exit 3")
     return status
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile (the fleet dashboards use the same)."""
-    if not samples:
-        return 0.0
-    ranked = sorted(samples)
-    rank = max(1, math.ceil(q * len(ranked)))
-    return ranked[rank - 1]
 
 
 #: ``--covert`` aliases for ``exec``: channel name or scenario name both
@@ -775,7 +746,7 @@ def run_exec(args) -> int:
     from repro.errors import ObservabilityError
     from repro.exec import (EXEC_SCENARIOS, exec_fleet_task,
                             exec_round_trip, exec_scenario)
-    from repro.obs.dist import SLOSpec
+    from repro.obs.dist import SLOSpec, nearest_rank
     from repro.obs.ledger import format_process_table
 
     slo_spec = None
@@ -899,7 +870,7 @@ def run_exec(args) -> int:
             else:
                 q = {"p50_verdict_ms": 0.50, "p95_verdict_ms": 0.95,
                      "p99_verdict_ms": 0.99}[key]
-                value = _percentile(verdict_ms, q)
+                value = nearest_rank(verdict_ms, q)
             ok = value <= target
             if not ok:
                 breached.append(key)
@@ -945,7 +916,7 @@ EXPERIMENTS = {
     "trace": run_trace,
     "fleet": run_fleet_exp,
     "audit": run_audit,
-    "serve": run_serve,
+    "serve": functools.partial(run_fleet_audit, nodes=1),
     "fleet-audit": run_fleet_audit,
     "exec": run_exec,
 }
@@ -1306,33 +1277,38 @@ def main(argv: list[str] | None = None) -> int:
                         help="Chrome trace file written by 'trace' "
                              "(default tdr-trace.json) and, when given "
                              "explicitly, the merged fleet trace of "
-                             "'fleet-audit'")
+                             "'serve' and 'fleet-audit'")
     parser.add_argument("--tenants", type=positive_int, default=4,
-                        help="tenants simulated by 'serve' (default 4)")
+                        help="tenants simulated by 'serve' and "
+                             "'fleet-audit' (default 4)")
     parser.add_argument("--epochs", type=positive_int, default=2,
-                        help="epochs simulated by 'serve' (default 2)")
+                        help="epochs simulated by 'serve' and "
+                             "'fleet-audit' (default 2)")
     parser.add_argument("--workers", type=positive_int, default=2,
-                        help="virtual verifier workers for 'serve' "
-                             "(default 2)")
+                        help="virtual audit workers per verifier node "
+                             "for 'serve' and 'fleet-audit' (default 2)")
     parser.add_argument("--serve-seed", type=int, default=2014,
-                        help="service seed for 'serve' (default 2014)")
+                        help="service seed for 'serve' and "
+                             "'fleet-audit' (default 2014)")
     parser.add_argument("--nodes", type=positive_int, default=4,
                         help="verifier nodes simulated by 'fleet-audit' "
-                             "(default 4)")
+                             "(default 4; 'serve' runs one)")
     parser.add_argument("--chaos", default=None, metavar="PLAN",
-                        help="'fleet-audit' node-fault plan, e.g. "
+                        help="node-fault plan for 'serve' and "
+                             "'fleet-audit', e.g. "
                              "'crash:1@180,stall:2@90+500,slow:0@10x4' "
                              "(crash:NODE@MS, stall:NODE@MS+DUR, "
                              "slow:NODE@MSxFACTOR; default none)")
     parser.add_argument("--slo", default=None, metavar="SPEC",
-                        help="'fleet-audit' SLO spec evaluated at end "
-                             "of run, e.g. 'p99_verdict_ms=400,"
-                             "max_unaudited=0.1'; a breach exits 4 "
-                             "(flags still exit 1)")
+                        help="SLO spec 'serve' and 'fleet-audit' "
+                             "evaluate at end of run, e.g. "
+                             "'p99_verdict_ms=400,max_unaudited=0.1'; a "
+                             "breach exits 4 (flags still exit 1)")
     parser.add_argument("--covert", default=None, metavar="CHANNEL",
                         help="covert channel for 'audit' (and the "
-                             "covert tenant of 'serve'; default ipctc "
-                             "there, none for 'audit'); for 'exec', "
+                             "covert tenant of 'serve' and "
+                             "'fleet-audit'; default ipctc there, none "
+                             "for 'audit'); for 'exec', "
                              "sched/schedtc or mbox/mboxtc adds the "
                              "covert variant of that scenario")
     parser.add_argument("--scenario", default="all",

@@ -54,8 +54,8 @@ from repro.machine.config import RuntimeKind
 from repro.machine.noise import NOISE_SCENARIOS, scenario_config
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
-from repro.service import AuditService, FleetService, FleetTopology, \
-    daemon, default_tenants, scheduler
+from repro.service import FleetService, FleetTopology, daemon, \
+    default_tenants, scheduler
 
 #: The switches the ``no-jit`` and ``no-batch`` knobs set.
 ENV = {"no-jit": "REPRO_NO_JIT", "no-batch": "REPRO_NO_BATCH"}
@@ -168,23 +168,16 @@ def _service_runs():
         yield runs
 
 
-def serve(jobs=1) -> dict:
-    """``reproduce serve``: 3 tenants, 2 epochs; the verdicts and every
-    run's fingerprint."""
-    with _service_runs() as runs:
-        report = AuditService(default_tenants(3, requests=REQUESTS),
-                              epochs=2, seed=SERVICE_SEED,
-                              registry=MetricsRegistry()).run(jobs=jobs)
-    return {"verdicts": report.verdicts_dict(), "runs": runs}
-
-
-def fleet(nodes: int, jobs=1) -> dict:
+def fleet(nodes: int, jobs=1, chaos=CHAOS) -> dict:
     """``reproduce fleet-audit`` under node chaos: the verdicts, every
-    run's fingerprint and the fleet trace's Chrome and NDJSON exports."""
+    run's fingerprint and the fleet trace's Chrome and NDJSON exports.
+    With ``nodes=1, chaos=None`` it is the run ``reproduce serve``
+    makes."""
     service = FleetService(default_tenants(3, requests=REQUESTS),
                            topology=FleetTopology(num_nodes=nodes),
                            epochs=2, seed=SERVICE_SEED,
-                           chaos=NodeChaosPlan.parse(CHAOS),
+                           chaos=(None if chaos is None
+                                  else NodeChaosPlan.parse(chaos)),
                            registry=MetricsRegistry())
     with _service_runs() as runs:
         report = service.run(jobs=jobs)
@@ -258,7 +251,7 @@ SCENARIOS = {
     "resilient": resilient,
     **{f"resilient@{severity}": functools.partial(resilient, severity)
        for severity in (1, 2)},
-    "serve": serve,
+    "serve": functools.partial(fleet, 1, chaos=None),
     **{f"fleet-{nodes}": functools.partial(fleet, nodes)
        for nodes in (1, 3, 4)},
     **{f"exec@{name}": functools.partial(executive, (name,))

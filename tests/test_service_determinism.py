@@ -3,17 +3,19 @@
 Its verdicts, queue metrics, and per-tenant ledgers are byte-identical
 across repeat runs and ``--jobs`` settings (``test_equivalence.py``
 checks it).  Worker count is a *policy* knob that may legally move
-virtual latencies, but never the flagged set or audit outcomes.
+virtual latencies, but never the flagged set or audit outcomes.  The
+runs here are the one-node fleet ``reproduce serve`` makes.
 """
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service import AuditService, default_tenants
+from repro.service import FleetService, FleetTopology, default_tenants
 
 
 def _run(num_workers=2, seed=7):
-    service = AuditService(default_tenants(3, requests=4), epochs=2,
-                           seed=seed, num_workers=num_workers,
-                           registry=MetricsRegistry())
+    service = FleetService(
+        default_tenants(3, requests=4),
+        topology=FleetTopology(num_nodes=1, workers_per_node=num_workers),
+        epochs=2, seed=seed, registry=MetricsRegistry())
     return service.run()
 
 

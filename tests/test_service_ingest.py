@@ -2,6 +2,8 @@
 
 import dataclasses
 
+import pytest
+
 from repro.analysis.parallel import execute_spec
 from repro.obs.metrics import MetricsRegistry
 from repro.service import AdmissionStatus, IngestGate, ProverSession, TenantSpec
@@ -77,6 +79,29 @@ def test_intact_segment_after_gap_is_quarantined():
     assert late.chain_ok is None
     # Quarantined entries never reach the verifier-side log.
     assert len(gate.accumulator(spec.tenant_id, 0).log.entries) == before
+
+
+@pytest.mark.parametrize("order", [(1, 0, 2), (0, 2, 1)],
+                         ids=("1-before-0", "2-before-1"))
+def test_segment_ahead_of_its_predecessor_opens_the_gap(order):
+    # Lossy-link retries can land a segment before its predecessor.
+    spec, shipments = _shipments()
+    gate = _gate(spec)
+    records = [gate.admit(shipments[seq]) for seq in order]
+    early = next(i for i, seq in enumerate(order) if seq != i)
+    assert all(r.status is AdmissionStatus.ADMITTED
+               for r in records[:early])
+    assert all(r.status is AdmissionStatus.QUARANTINED
+               for r in records[early:])
+    assert "out of order" in records[early].detail
+    acc = gate.accumulator(spec.tenant_id, 0)
+    assert acc.gap and not acc.tampered
+    # Only the in-order prefix was appended, so the log never runs
+    # backwards in instruction count.
+    assert len(acc.log.entries) == (records[early - 1].accumulated_entries
+                                    if early else 0)
+    counts = [entry.instr_count for entry in acc.log.entries]
+    assert counts == sorted(counts)
 
 
 def test_epochs_accumulate_independently():

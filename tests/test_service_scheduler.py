@@ -12,21 +12,28 @@ from repro.service import (
     PRIORITY_SPOT,
     AuditJob,
     AuditScheduler,
-    AuditService,
+    FleetService,
+    FleetTopology,
     IngestGate,
     ProverSession,
     TenantSpec,
     default_tenants,
-    persist_service_report,
+    persist_fleet_report,
+    resolve_replays,
 )
+
+
+def _serve(tenants, epochs=2, seed=2014):
+    """The one-node fleet ``reproduce serve`` runs."""
+    return FleetService(tenants, topology=FleetTopology(num_nodes=1),
+                        epochs=epochs, seed=seed,
+                        registry=MetricsRegistry()).run(jobs=1)
 
 
 @pytest.fixture(scope="module")
 def report():
     """One shared 4-tenant run: clean, covert, clean, lossy-link."""
-    service = AuditService(default_tenants(4, requests=4), epochs=2,
-                           seed=2014, registry=MetricsRegistry())
-    return service.run(jobs=1)
+    return _serve(default_tenants(4, requests=4))
 
 
 class TestEndToEnd:
@@ -65,24 +72,22 @@ class TestEndToEnd:
         assert report.exit_code == 1
 
     def test_render_lines_cover_both_tables(self, report):
-        text = "\n".join(report.render_lines())
+        lines = report.render_lines()
+        text = "\n".join(lines)
+        assert "nodes=1 tenants=4 chaos=none" in lines[0]
+        assert any(line.startswith("node-00    alive") for line in lines)
         assert "FLAGGED covert-timing" in text
-        assert "mean wait ms" in text
-        assert "queue: pushed=" in text
         assert "flagged: tenant-01" in text
 
     def test_all_clean_roster_exits_zero(self):
-        service = AuditService(default_tenants(1, requests=4), epochs=1,
-                               seed=5, registry=MetricsRegistry())
-        solo = service.run(jobs=1)
+        solo = _serve(default_tenants(1, requests=4), epochs=1, seed=5)
         assert solo.flagged_tenants == [] and solo.exit_code == 0
         assert "flagged: none" in "\n".join(solo.render_lines())
 
     def test_tampering_tenant_is_flagged_tamper(self):
         roster = [TenantSpec(tenant_id="mallory", requests=4, seed=7,
                              segments=3, tamper=True)]
-        result = AuditService(roster, epochs=1, seed=5,
-                              registry=MetricsRegistry()).run(jobs=1)
+        result = _serve(roster, epochs=1, seed=5)
         ledger = result.ledgers["mallory"]
         assert ledger.final_status == "flagged-tamper"
         assert any(e.classification is AuditClassification.TAMPER_DETECTED
@@ -93,6 +98,22 @@ class TestEndToEnd:
         assert report.metrics["service_audits_total"]["value"] \
             == sum(l.audits for l in report.ledgers.values())
         assert report.metrics["service_queue_latency_ms"]["count"] > 0
+
+    def test_spot_anomaly_on_a_flagged_tenant_is_not_clean(self):
+        # CI's `serve` roster: a spot check of tenant-01 after its flag
+        # sees the channel again; the verdict must say so.
+        run = _serve(default_tenants(3, requests=25))
+        assert run.flagged_tenants == ["tenant-01"]
+        events = [e for ledger in run.ledgers.values()
+                  for e in ledger.events]
+        assert not [e for e in events if e.consistent is False
+                    and e.classification is AuditClassification.CLEAN]
+        late = [e for e in run.ledgers["tenant-01"].events
+                if e.kind == "spot" and e.consistent is False
+                and e.tenant_status == "flagged-covert"]
+        assert late and all(
+            e.classification is AuditClassification.REPLAY_DIVERGENT
+            for e in late)
 
 
 class TestCacheUnderScheduler:
@@ -108,9 +129,25 @@ class TestCacheUnderScheduler:
             scheduler.note_admission(gate.admit(segment), gate)
         return scheduler, gate, registry
 
+    @staticmethod
+    def _audit_queued(scheduler, gate):
+        """Resolve, price and judge queued jobs, escalations included,
+        until the queue is empty; returns the recorded events."""
+        events = []
+        while scheduler.queue:
+            batch = scheduler.queue.drain()
+            prepared = resolve_replays(
+                [(scheduler, job, gate) for job in batch], jobs=1)
+            for job, outcome in zip(batch, prepared):
+                scheduler.price(job, outcome)
+                event = scheduler.complete(job, outcome, gate)
+                if event is not None:
+                    events.append(event)
+        return events
+
     def test_repeat_audit_of_same_window_hits_the_cache(self):
         scheduler, gate, registry = self._scheduler()
-        first = scheduler.run_pending(gate, jobs=1)
+        first = self._audit_queued(scheduler, gate)
         assert all(not e.cache_hit for e in first)
         repeat_of = first[-1]
         scheduler.queue.push(AuditJob(
@@ -119,7 +156,7 @@ class TestCacheUnderScheduler:
             budget_instructions=scheduler.policy.spot_budget_instructions,
             log_upto=len(gate.accumulator("t0", 0).log.entries),
             cause="repeat"))
-        second = scheduler.run_pending(gate, jobs=1)
+        second = self._audit_queued(scheduler, gate)
         assert len(second) == 1 and second[0].cache_hit
         # A hit is priced at the flat cache cost, not replay cost...
         assert second[0].service_ms == scheduler.policy.cache_hit_cost_ms
@@ -132,7 +169,7 @@ class TestCacheUnderScheduler:
 
     def test_hit_rate_metrics_accumulate(self):
         scheduler, gate, registry = self._scheduler()
-        scheduler.run_pending(gate, jobs=1)
+        self._audit_queued(scheduler, gate)
         upto = len(gate.accumulator("t0", 0).log.entries)
         for i in range(3):
             scheduler.queue.push(AuditJob(
@@ -142,7 +179,7 @@ class TestCacheUnderScheduler:
                 budget_instructions=(
                     scheduler.policy.spot_budget_instructions),
                 log_upto=upto, cause=f"repeat:{i}"))
-        events = scheduler.run_pending(gate, jobs=1)
+        events = self._audit_queued(scheduler, gate)
         assert [e.cache_hit for e in events] == [True, True, True]
         assert scheduler.cache.hits >= 3
         snap = registry.snapshot()
@@ -171,12 +208,13 @@ class TestCacheUnderScheduler:
         assert len(cache) == 2
 
 
-def test_persist_service_report_roundtrip(tmp_path, report):
+def test_persist_fleet_report_roundtrip(tmp_path, report):
     store = RunStore(tmp_path / "runs")
-    run_id = persist_service_report(store, report, label="svc-test")
+    run_id = persist_fleet_report(store, report, label="svc-test")
     record = store.load(run_id)
-    assert record.kind == "service"
+    assert record.kind == "fleet-audit"
     assert record.label == "svc-test"
     assert record.seeds == [report.seed]
     assert record.verdicts == report.verdicts_dict()
-    assert record.figures["queue"] == dict(report.queue_stats)
+    assert record.figures["fleet_obs"] == report.fleet_obs
+    assert record.trace_ndjson == report.trace_ndjson

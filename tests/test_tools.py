@@ -282,7 +282,39 @@ class TestExitCodeContract:
         assert main(["runs", "list", "--store", str(tmp_path)]) == 0
         listing = capsys.readouterr().out
         assert match.group(1) in listing
-        assert "service" in listing
+        assert "fleet-audit" in listing
+
+    def test_serve_is_the_one_node_fleet_audit(self, capsys):
+        flags = ["--tenants", "3", "--epochs", "2", "--requests", "4",
+                 "--workers", "3"]
+
+        def tenant_table(argv):
+            status = main(argv)
+            lines = capsys.readouterr().out.splitlines()
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith("  tenant "))
+            end = next(i for i, line in enumerate(lines)
+                       if line.startswith("  flagged: "))
+            return status, lines[start:end + 1]
+
+        serve = tenant_table(["serve", *flags])
+        assert serve == tenant_table(["fleet-audit", "--nodes", "1",
+                                      *flags])
+        assert serve[0] == 1 and "tenant-01" in serve[1][-1]
+
+    @pytest.mark.parametrize("experiment", ("serve", "fleet-audit"))
+    def test_segments_out_of_order_degrade_not_crash(self, capsys,
+                                                     experiment):
+        # At this seed a lossy-link retry lands tenant-02's epoch-1
+        # segment 1 before its segment 0: the gap discipline quarantines
+        # both instead of splicing a log that runs backwards.
+        assert main([experiment, "--tenants", "3", "--epochs", "2",
+                     "--requests", "4", "--serve-seed", "10"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert re.search(r"tenant-02 +clean \(degraded link\)",
+                         captured.out)
+        assert "flagged: tenant-01" in captured.out
 
 
 class TestRunStoreCli:
