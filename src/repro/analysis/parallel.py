@@ -27,21 +27,35 @@ that fans out and serves every later call with the same requested
 key shuts it down before forking its own, and a broken pool (a worker
 killed from outside) is dropped and that call runs serially.
 
+Work can also reach the pool *before* the call that needs it.
+:func:`prefetch` submits tasks and keeps their futures in a memo keyed
+by ``(worker, task)``; :func:`run_fleet` serves each task that has a
+future there from that future (waiting for it, never running it in the
+caller), runs the rest as it would without a memo, and returns results
+in submission order.  The memo belongs to the pool: a broken pool or a
+key change drops both.  :func:`prefetching` bounds prefetched work to a
+block: on leaving it, futures that have not started are cancelled,
+running ones are waited for, and the memo is emptied.  The verifier
+fleet uses it to run the next plays and the planned audits while its
+event loop works on the current ones (DESIGN §7).
+
 Determinism note: worker processes recompute everything from seeds, so
 ``run_fleet(specs, jobs=4)`` is bit-identical to ``jobs=1`` — there is a
 regression test asserting cycles, transmissions, ledger totals, and AUCs
 match between the two.  Reusing a worker for many tasks is exact for the
 same reason: the serial path already runs every task in one long-lived
-process.  What a task needs must travel in the task or in ``REPRO_*``; a
-module attribute patched in the parent after the pool was forked does
-not reach its workers.
+process, and a prefetched task is the same pure function of the same
+task, computed earlier.  What a task needs must travel in the task or in
+``REPRO_*``; a module attribute patched in the parent after the pool was
+forked does not reach its workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -53,7 +67,8 @@ from repro.machine.machine import ExecutionResult
 from repro.obs.snapshot import FleetObservations, ObsSnapshot
 
 __all__ = ["MachineSpec", "ObservedExecution", "default_jobs",
-           "execute_spec", "run_fleet", "run_fleet_observed"]
+           "execute_spec", "prefetch", "prefetching", "run_fleet",
+           "run_fleet_observed"]
 
 
 def default_jobs() -> int:
@@ -210,6 +225,20 @@ def _apply_repro_env(env: dict) -> None:
 #: forked by the first call that fans out, replaced when the key changes.
 _pool: ProcessPoolExecutor | None = None
 _pool_key: tuple | None = None
+#: Futures of tasks submitted ahead of the call that needs them, keyed
+#: ``(worker, task)``.  They run on the live pool and go with it.
+_prefetched: dict[tuple, Future] = {}
+
+
+def _repro_env() -> dict:
+    # Values are read for the matching keys only: every os.environ
+    # lookup decodes, and a fleet round asks about 50 times.
+    return {key: os.environ[key] for key in os.environ
+            if key.startswith("REPRO_")}
+
+
+def _key(jobs: int, repro_env: dict) -> tuple:
+    return (jobs, tuple(sorted(repro_env.items())))
 
 
 def _worker_pool(jobs: int, repro_env: dict) -> ProcessPoolExecutor:
@@ -217,7 +246,7 @@ def _worker_pool(jobs: int, repro_env: dict) -> ProcessPoolExecutor:
     the live one has another key (which is shut down first, so no fork
     happens while its threads run)."""
     global _pool, _pool_key
-    key = (jobs, tuple(sorted(repro_env.items())))
+    key = _key(jobs, repro_env)
     if _pool_key != key:
         _drop_pool()
         _pool = ProcessPoolExecutor(max_workers=jobs,
@@ -229,11 +258,54 @@ def _worker_pool(jobs: int, repro_env: dict) -> ProcessPoolExecutor:
 
 
 def _drop_pool() -> None:
-    """Shut the process's pool down (if any) and forget it."""
+    """Shut the process's pool down (if any) and forget it, together
+    with the futures prefetched on it."""
     global _pool, _pool_key
     pool, _pool, _pool_key = _pool, None, None
+    _prefetched.clear()
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def prefetch(tasks: Sequence, jobs: int,
+             worker: Callable = execute_spec) -> None:
+    """Submit ``tasks`` to the pool of ``jobs`` workers ahead of the
+    :func:`run_fleet` call that will ask for them, in order.
+
+    Tasks must be hashable, since the memo is keyed by them, and a task
+    already waiting there is not submitted again.  With ``jobs<=1``
+    nothing happens; where no process can be started or the pool broke,
+    the pool is dropped and the later call runs as if nothing had been
+    prefetched.
+    """
+    if jobs <= 1:
+        return
+    try:
+        pool = _worker_pool(jobs, _repro_env())
+        for task in tasks:
+            key = (worker, task)
+            if key not in _prefetched:
+                _prefetched[key] = pool.submit(worker, task)
+    except (BrokenProcessPool, OSError):
+        _drop_pool()
+
+
+@contextlib.contextmanager
+def prefetching():
+    """Bound prefetched work to the block.
+
+    On leaving it, prefetched futures nobody asked for are cancelled if
+    they have not started and waited for if they have, and the memo is
+    emptied, so no prefetched task outlives the block.
+    """
+    try:
+        yield
+    finally:
+        leftovers = list(_prefetched.values())
+        _prefetched.clear()
+        for future in leftovers:
+            future.cancel()
+        wait(leftovers)
 
 
 def run_fleet(tasks: Sequence, jobs: int | None = None,
@@ -243,31 +315,56 @@ def run_fleet(tasks: Sequence, jobs: int | None = None,
     ``worker`` must be a module-level callable and every task picklable
     (the default worker is :func:`execute_spec` over
     :class:`MachineSpec`).  With ``jobs`` absent, :func:`default_jobs`
-    decides.  With ``jobs<=1`` or a single task the loop runs serially
-    in-process; otherwise the tasks go to the process's pool of ``jobs``
-    workers, kept from earlier calls with the same ``jobs`` and
-    ``REPRO_*`` environment.  Where no process can be started, or the
-    pool broke (a worker died), this call runs serially and a broken
-    pool is dropped.  Same results on every path, because every task is
-    rebuilt from seeds.
+    decides.  With ``jobs<=1`` the loop runs serially in-process.
+    Otherwise a task :func:`prefetch` submitted is served from its
+    future, and the rest run serially if there is only one of them, or
+    on the process's pool of ``jobs`` workers, kept from earlier calls
+    with the same ``jobs`` and ``REPRO_*`` environment.  Where no
+    process can be started, or the pool broke (a worker died), this call
+    runs serially and the pool and its prefetched futures are dropped;
+    so are futures prefetched under another key.  Same results on every
+    path, because every task is rebuilt from seeds.
     """
     tasks = list(tasks)
     if jobs is None:
         jobs = default_jobs()
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs <= 1:
         return [worker(task) for task in tasks]
-    repro_env = {key: value for key, value in os.environ.items()
-                 if key.startswith("REPRO_")}
+    repro_env = None
+    futures = [None] * len(tasks)
+    if _prefetched:
+        repro_env = _repro_env()
+        if _key(jobs, repro_env) == _pool_key:
+            futures = [_prefetched_future(worker, task) for task in tasks]
+        else:
+            _drop_pool()
+    rest = [task for task, future in zip(tasks, futures) if future is None]
+    fresh = [worker(task) for task in rest] if len(rest) <= 1 else None
     try:
-        # Submission order in, submission order out: map() guarantees
-        # result order matches the input iterable regardless of
-        # completion order.
-        return list(_worker_pool(jobs, repro_env).map(worker, tasks))
+        if fresh is None:
+            # Submission order in, submission order out: map() yields in
+            # input order whatever the completion order.
+            fresh = _worker_pool(jobs, _repro_env() if repro_env is None
+                                 else repro_env).map(worker, rest)
+        fresh = iter(fresh)
+        results = [next(fresh) if future is None else future.result()
+                   for future in futures]
     except (BrokenProcessPool, OSError):
         # A worker died, or this sandbox cannot start processes: drop the
         # pool (the next call forks a fresh one) and run this call here.
         _drop_pool()
-    return [worker(task) for task in tasks]
+        return [worker(task) for task in tasks]
+    for task, future in zip(tasks, futures):
+        if future is not None:
+            _prefetched.pop((worker, task), None)
+    return results
+
+
+def _prefetched_future(worker: Callable, task) -> Future | None:
+    try:
+        return _prefetched.get((worker, task))
+    except TypeError:             # unhashable, so never prefetched
+        return None
 
 
 def run_fleet_observed(specs: Sequence[MachineSpec], jobs: int | None = None

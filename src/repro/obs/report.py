@@ -29,6 +29,7 @@ Figure payload conventions (the ``figures`` dict of a run record):
 from __future__ import annotations
 
 import html
+import textwrap
 
 from repro.obs.ledger import format_attribution_table
 
@@ -134,8 +135,7 @@ def render_text(record, run_id: str = "") -> str:
             lines.append(f"  {curve['detector']:24s} AUC {curve['auc']:.4f}")
     if record.verdicts:
         lines.append("")
-        for name, value in sorted(record.verdicts.items()):
-            lines.append(f"  {name}: {value}")
+        lines.extend(_verdict_lines(record.kind, record.verdicts))
     phases = phase_lines(record.metrics)
     if phases:
         lines.append("")
@@ -144,6 +144,24 @@ def render_text(record, run_id: str = "") -> str:
         lines.append(f"  {len(record.flights)} divergence flight "
                      f"record(s) on file")
     return "\n".join(lines)
+
+
+def _verdict_lines(kind: str, verdicts: dict) -> list[str]:
+    """A run's verdicts key by key, except that a fleet run's node and
+    tenant tables print as the run printed them."""
+    if kind != "fleet-audit":
+        return [f"  {name}: {value}"
+                for name, value in sorted(verdicts.items())]
+    from repro.service.fleet import fleet_table_lines
+
+    tabled = ("nodes", "tenants", "rebalances", "unaudited", "flagged",
+              "topology")
+    lines = [f"  {name}: {value}" for name, value in sorted(verdicts.items())
+             if name not in tabled]
+    lines += textwrap.wrap(
+        ", ".join(f"{k}={v}" for k, v in sorted(verdicts["topology"].items())),
+        width=96, initial_indent="  topology: ", subsequent_indent="    ")
+    return lines + [""] + [f"  {line}" for line in fleet_table_lines(verdicts)]
 
 
 # --------------------------------------------------------------------------

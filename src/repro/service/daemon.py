@@ -13,7 +13,8 @@ byte:
   inject their ``covert_delay`` schedule here; the verifier's trusted
   wire vantage captures what actually went out), and each session
   chains, signs and ships its log in segments whose arrival times come
-  from the lossy-channel model.
+  from the lossy-channel model (:func:`play_specs` lists the plays, so
+  the fleet can submit them ahead of the call).
 """
 
 from __future__ import annotations
@@ -55,7 +56,11 @@ def play_and_ship(sessions: dict, epoch: int, epoch_start: float,
     stay submission-ordered so ``jobs`` changes wall-clock only.
     """
     order = sorted(sessions)
-    specs = [sessions[tid].play_spec(epoch) for tid in order]
-    results = run_fleet(specs, jobs=jobs)
+    results = run_fleet(play_specs(sessions, epoch), jobs=jobs)
     return [(tid, sessions[tid].ship(epoch, result, epoch_start))
             for tid, result in zip(order, results)]
+
+
+def play_specs(sessions: dict, epoch: int) -> list:
+    """The epoch's plays, one spec per tenant in sorted-tenant order."""
+    return [sessions[tid].play_spec(epoch) for tid in sorted(sessions)]

@@ -41,31 +41,41 @@ their node's virtual worker pool the moment they could start, and their
 between a job's start and completion therefore kills it in flight — the
 verdict is discarded and the job is redelivered by the rebalance,
 exercising the at-least-once path for real.
+
+With ``jobs`` > 1 the host work runs ahead of the loop: the next plays
+and the replays the epoch's segments will plan are submitted to the
+worker pool (:func:`~repro.analysis.parallel.prefetch`) before the loop
+asks for them, and each batch is then served from those futures.  A
+play or replay is a pure function of its task, so this moves host time
+only (DESIGN §7).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from repro.analysis.parallel import default_jobs, prefetch, prefetching
 from repro.core.replay_cache import ReplayCache
 from repro.faults.plans import NodeChaosPlan
 from repro.machine.config import MachineConfig
 from repro.obs.dist import FLEET_TRACK, DistTracer
-from repro.obs.metrics import MetricsRegistry, get_registry, labeled
-from repro.service.daemon import play_and_ship
+from repro.obs.metrics import (NULL_REGISTRY, MetricsRegistry, get_registry,
+                               labeled)
+from repro.service.daemon import play_and_ship, play_specs
 from repro.service.failure import FailureDetector
 from repro.service.ingest import IngestGate
 from repro.service.queue import AuditJob, AuditQueue
 from repro.service.ring import HashRing
 from repro.service.scheduler import (AuditScheduler, EscalationPolicy,
-                                     TenantState, resolve_replays)
+                                     TenantState, execute_replay_task,
+                                     resolve_replays)
 from repro.service.session import ProverSession, TenantSpec
 from repro.service.simclock import ServiceError, SimClock, WorkerPool
 from repro.service.verdicts import (TenantLedger, UnauditedRecord,
                                     VerdictSink)
 
 __all__ = ["FleetNode", "FleetReport", "FleetService", "FleetTopology",
-           "RebalanceEvent", "persist_fleet_report"]
+           "RebalanceEvent", "fleet_table_lines", "persist_fleet_report"]
 
 
 @dataclass(frozen=True)
@@ -243,20 +253,38 @@ class FleetService:
     # -- the run loop ------------------------------------------------------
 
     def run(self, jobs: int | None = None) -> "FleetReport":
-        """Run every epoch under the chaos plan; assemble the report."""
+        """Run every epoch under the chaos plan; assemble the report.
+
+        With ``jobs`` > 1 (:func:`~repro.analysis.parallel.default_jobs`
+        when absent), work reaches the pool ahead of the loop, in the
+        order the loop will need it: epoch 0's plays first, then, as
+        each epoch's shipments are known, the replays its segments will
+        plan, then the next epoch's plays.  Whatever the run did not ask
+        for is cancelled or waited for before this returns.
+        """
+        if jobs is None:
+            jobs = default_jobs()
         if self.chaos is not None:
             for fault in self.chaos.for_fleet(self.topology.num_nodes):
                 self.clock.schedule(max(fault.at_ms, self.clock.now_ms),
                                     "chaos", fault)
-        for epoch in range(self.epochs):
-            self._run_epoch(epoch, jobs)
+        with prefetching():
+            prefetch(play_specs(self.sessions, 0), jobs)
+            for epoch in range(self.epochs):
+                self._run_epoch(epoch, jobs)
         return self.report()
 
-    def _run_epoch(self, epoch: int, jobs: int | None) -> None:
+    def _run_epoch(self, epoch: int, jobs: int) -> None:
         epoch_start = max(self.clock.now_ms,
                           epoch * self.epoch_interval_ms)
-        for tid, shipment in play_and_ship(self.sessions, epoch,
-                                           epoch_start, jobs=jobs):
+        shipped = play_and_ship(self.sessions, epoch, epoch_start,
+                                jobs=jobs)
+        if jobs > 1:
+            prefetch(self._planned_replays(shipped), jobs,
+                     worker=execute_replay_task)
+            if epoch + 1 < self.epochs:
+                prefetch(play_specs(self.sessions, epoch + 1), jobs)
+        for tid, shipment in shipped:
             self.wires[(tid, epoch)] = shipment.wire
             self.segments_shipped += len(shipment.shipments)
             self._sessions.add((tid, epoch))
@@ -264,7 +292,35 @@ class FleetService:
                 self.clock.schedule(segment.arrival_ms, "segment", segment)
         self._pump(jobs)
 
-    def _pump(self, jobs: int | None) -> None:
+    def _planned_replays(self, shipped: list) -> list:
+        """The replay task of every audit the epoch's segments will plan.
+
+        The segments are admitted in arrival order (the clock's order:
+        ties keep the order they are scheduled in) to a private gate,
+        and each tenant's current owner says what it would queue.  A
+        prediction the run does not follow (the queue sheds a job, or
+        the fleet sheds to spot checks mid-epoch) only costs a task
+        nobody asks for.  Escalations wait on a verdict, so none is
+        predicted; each runs when the loop asks for it.
+        """
+        gate = IngestGate(self.specs, registry=NULL_REGISTRY)
+        segments = sorted((segment for _, shipment in shipped
+                           for segment in shipment.shipments),
+                          key=lambda segment: segment.arrival_ms)
+        tasks = []
+        for segment in segments:
+            record = gate.admit(segment)
+            owner_id = self.ring.assign(segment.tenant_id)
+            if owner_id is None:
+                continue
+            scheduler = self.node_by_id[owner_id].scheduler
+            for job in scheduler.plan_admission(record, gate):
+                task = scheduler.replay_task(job, gate)
+                if task is not None:
+                    tasks.append(task)
+        return tasks
+
+    def _pump(self, jobs: int) -> None:
         """Alternate dispatch with event processing until quiescent.
 
         Dispatching *between* events (not after a full drain) is what
@@ -498,7 +554,7 @@ class FleetService:
 
     # -- dispatch and completion -------------------------------------------
 
-    def _dispatch(self, jobs: int | None) -> bool:
+    def _dispatch(self, jobs: int) -> bool:
         """Price every queued job on its node; schedule completions."""
         now = self.clock.now_ms
         work: list[tuple[FleetNode, AuditJob]] = []
@@ -706,41 +762,44 @@ class FleetReport:
             f"deduped={self.deduped} degraded_mode="
             f"{'yes' if self.degraded_mode else 'no'}",
             "",
-            f"{'node':<10} {'status':<12} {'audits':>6} {'hits':>6} "
-            f"{'miss':>6} {'util':>7} {'shed':>5}",
         ]
-        for nid in sorted(self.node_stats):
-            stats = self.node_stats[nid]
-            lines.append(
-                f"{nid:<10} {stats['status']:<12} {stats['audits']:>6} "
-                f"{stats['cache_hits']:>6} {stats['cache_misses']:>6} "
-                f"{stats['utilization']:>7.1%} "
-                f"{stats['queue']['shed']:>5}")
-        lines += [
-            "",
-            f"{'tenant':<12} {'verdict':<22} {'audits':>6} {'spot':>5} "
-            f"{'full':>5} {'escal':>6}",
-        ]
-        for tid in sorted(self.ledgers):
-            ledger = self.ledgers[tid]
-            lines.append(
-                f"{tid:<12} {ledger.verdict:<22} {ledger.audits:>6} "
-                f"{ledger.spot_checks:>5} {ledger.full_audits:>5} "
-                f"{ledger.escalations:>6}")
-        for rebalance in self.rebalances:
-            lines.append(
-                f"rebalance @{rebalance['time_ms']:.1f} ms: "
-                f"{rebalance['node']} ({rebalance['reason']}) moved "
-                f"{len(rebalance['moved_tenants'])} tenants, requeued "
-                f"{rebalance['requeued']}")
-        for record in self.unaudited:
-            lines.append(f"unaudited: {record.tenant_id} epoch "
-                         f"{record.epoch} ({record.reason})")
-        if self.flagged_tenants:
-            lines.append("flagged: " + ", ".join(self.flagged_tenants))
-        else:
-            lines.append("flagged: none")
-        return lines
+        return lines + fleet_table_lines(self.verdicts_dict())
+
+
+def fleet_table_lines(verdicts: dict) -> list[str]:
+    """A fleet run's node and tenant tables, rebalances, unaudited
+    sessions and flag line, from its :meth:`FleetReport.verdicts_dict`
+    (live, or as a run store holds it)."""
+    lines = [f"{'node':<10} {'status':<12} {'audits':>6} {'hits':>6} "
+             f"{'miss':>6} {'util':>7} {'shed':>5}"]
+    for nid, stats in sorted(verdicts["nodes"].items()):
+        lines.append(
+            f"{nid:<10} {stats['status']:<12} {stats['audits']:>6} "
+            f"{stats['cache_hits']:>6} {stats['cache_misses']:>6} "
+            f"{stats['utilization']:>7.1%} "
+            f"{stats['queue']['shed']:>5}")
+    lines += [
+        "",
+        f"{'tenant':<12} {'verdict':<22} {'audits':>6} {'spot':>5} "
+        f"{'full':>5} {'escal':>6}",
+    ]
+    for tid, ledger in sorted(verdicts["tenants"].items()):
+        lines.append(
+            f"{tid:<12} {ledger['verdict']:<22} {ledger['audits']:>6} "
+            f"{ledger['spot_checks']:>5} {ledger['full_audits']:>5} "
+            f"{ledger['escalations']:>6}")
+    for rebalance in verdicts["rebalances"]:
+        lines.append(
+            f"rebalance @{rebalance['time_ms']:.1f} ms: "
+            f"{rebalance['node']} ({rebalance['reason']}) moved "
+            f"{len(rebalance['moved_tenants'])} tenants, requeued "
+            f"{rebalance['requeued']}")
+    for record in verdicts["unaudited"]:
+        lines.append(f"unaudited: {record['tenant_id']} epoch "
+                     f"{record['epoch']} ({record['reason']})")
+    flagged = verdicts["flagged"]
+    lines.append("flagged: " + (", ".join(flagged) if flagged else "none"))
+    return lines
 
 
 def persist_fleet_report(runstore, report: FleetReport,

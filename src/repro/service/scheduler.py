@@ -30,6 +30,10 @@ scheduler per node: it routes each admitted segment to its owner's
 node's queue in one :func:`resolve_replays` round, and calls
 :meth:`~AuditScheduler.price` at dispatch and
 :meth:`~AuditScheduler.complete` when the job's completion event fires.
+Ahead of that, it asks :meth:`~AuditScheduler.plan_admission` (the
+queue-free half of ``note_admission``) and
+:meth:`~AuditScheduler.replay_task` (the task builder ``_prepare``
+uses) which replays an epoch will need, and prefetches them.
 
 Determinism: all real replay execution happens in submission-order
 :func:`~repro.analysis.parallel.run_fleet` batches, while *time* (start,
@@ -264,15 +268,26 @@ class AuditScheduler:
     def note_admission(self, record: AdmissionRecord,
                        gate: IngestGate) -> list[AuditJob]:
         """React to one admitted segment; returns the jobs it spawned."""
+        state = self.state(record.shipment.tenant_id)
+        if record.status == AdmissionStatus.TAMPER:
+            state.anomalies += 1
+        return [job for job in self.plan_admission(record, gate)
+                if self.queue.push(job)]
+
+    def plan_admission(self, record: AdmissionRecord,
+                       gate: IngestGate) -> list[AuditJob]:
+        """The jobs one admitted segment plans, before the queue's say.
+
+        Changes nothing, so the fleet can also ask it of a private gate
+        to learn which replays an epoch's segments will need.
+        """
         ship = record.shipment
-        state = self.state(ship.tenant_id)
         policy = self.policy
         jobs: list[AuditJob] = []
 
         if record.status == AdmissionStatus.TAMPER:
             # Proof of history rewriting: escalate immediately, whatever
             # else this epoch was going to get.
-            state.anomalies += 1
             jobs.append(self._job(ship.tenant_id, ship.epoch, "escalated",
                                   PRIORITY_ESCALATED, ship.arrival_ms,
                                   policy.escalated_deadline_ms,
@@ -311,8 +326,7 @@ class AuditScheduler:
                 and ship.seq == ship.total_segments - 1 \
                 and not gate.accumulator(ship.tenant_id, ship.epoch).tampered:
             jobs.append(self._epoch_close_job(record, ship))
-
-        return [job for job in jobs if self.queue.push(job)]
+        return jobs
 
     def _epoch_close_job(self, record: AdmissionRecord, ship) -> AuditJob:
         """The full audit of a damaged epoch's surviving prefix.
@@ -347,6 +361,22 @@ class AuditScheduler:
 
     # -- dispatch ----------------------------------------------------------
 
+    def replay_task(self, job: AuditJob,
+                    gate: IngestGate) -> ReplayTask | None:
+        """The replay ``job`` needs: its tenant's program over the first
+        ``job.log_upto`` admitted entries, under ``job``'s budget.  None
+        when nothing is admitted."""
+        acc = gate.accumulator(job.tenant_id, job.epoch)
+        entries = acc.log.entries[:job.log_upto]
+        if not entries:
+            return None
+        window = EventLog()
+        window.entries = entries
+        return ReplayTask(program=self.state(job.tenant_id).spec.program,
+                          log_bytes=window.to_bytes(),
+                          config=self.config, seed=self.REPLAY_SEED,
+                          max_instructions=job.budget_instructions)
+
     def _prepare(self, job: AuditJob, gate: IngestGate
                  ) -> tuple[ReplayTask | None, ReplayTaskResult | None, bool]:
         """Resolve one job against the cache.
@@ -355,20 +385,13 @@ class AuditScheduler:
         is nothing admitted to replay, ``outcome=None`` when the fleet
         round still has to run it.
         """
-        acc = gate.accumulator(job.tenant_id, job.epoch)
-        entries = acc.log.entries[:job.log_upto]
-        if not entries:
+        task = self.replay_task(job, gate)
+        if task is None:
             return (None, None, False)
-        window = EventLog()
-        window.entries = list(entries)
-        state = self.state(job.tenant_id)
-        task = ReplayTask(program=state.spec.program,
-                          log_bytes=window.to_bytes(),
-                          config=self.config, seed=self.REPLAY_SEED,
-                          max_instructions=job.budget_instructions)
         cached = self.cache.fetch_value(
-            _compiled(task.program), window, config=task.config,
-            seed=task.seed, max_instructions=task.max_instructions)
+            _compiled(task.program), EventLog.from_bytes(task.log_bytes),
+            config=task.config, seed=task.seed,
+            max_instructions=task.max_instructions)
         return (task, cached, cached is not None)
 
     # -- pricing (dispatch time) -------------------------------------------

@@ -181,10 +181,15 @@ _FRAME = ("frame", "{arg} * 8")
 _GLOBAL = ("const", "GLOBALS_BASE + {arg} * 8")
 _ELEMENT = ("heap", "{O}.vaddr + 16 + {idx} * 8")
 _FIELD = ("heap", "{O}.vaddr + 16 + {arg} * 8")
-#: Truncating (Java) division and remainder.
-_QUOTIENT = ("abs({a}) // abs({b}) if ({a} < 0) == ({b} < 0)"
+#: Truncating (Java) division and remainder.  With a non-negative
+#: dividend and a positive divisor they are Python's floor operators;
+#: the signs are tested first so that common case calls no ``abs``.
+_QUOTIENT = ("{a} // {b} if {a} >= 0 and {b} > 0"
+             " else abs({a}) // abs({b}) if ({a} < 0) == ({b} < 0)"
              " else -(abs({a}) // abs({b}))")
-_REMAINDER = "abs({a}) % abs({b}) if {a} >= 0 else -(abs({a}) % abs({b}))"
+_REMAINDER = ("{a} % {b} if {a} >= 0 and {b} > 0"
+              " else abs({a}) % abs({b}) if {a} >= 0"
+              " else -(abs({a}) % abs({b}))")
 
 #: One row per opcode, in measured execution frequency order: the order
 #: the interpreter's dispatch ladder tests them in.

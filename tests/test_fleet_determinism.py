@@ -10,11 +10,15 @@ tenant ledgers of the report objects across ``jobs``, and pin what the
 seed and the fleet size may move.
 """
 
+from unittest import mock
+
 import pytest
 
+from repro.analysis import parallel
 from repro.faults.plans import NodeChaosPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.service import FleetService, FleetTopology, default_tenants
+from repro.service import daemon, fleet, scheduler
 
 CHAOS = NodeChaosPlan.parse("crash:1@180,stall:2@90+500")
 
@@ -71,3 +75,55 @@ class TestFleetDeterminism:
         report = _run(chaos=None, nodes=nodes)
         assert report.flagged_tenants == ["tenant-01"]
         assert not report.unaudited
+
+
+def test_prefetch_serves_every_planned_play_and_audit():
+    """Work-count gate for the fleet's prefetch (8 tenants x 3 epochs, 4
+    nodes, ``crash:1@180``, ``jobs=2``): every play, and every audit of
+    the undamaged epochs 1 and 2 (no crash, no escalation), finds its
+    future waiting in the memo when the loop asks for it.  The one task
+    that does not is the covert tenant's escalation in epoch 0, which
+    waits on a verdict.  Submissions and lookups happen at fixed points
+    of the run, so these counts do not depend on timing."""
+    calls = []                    # (epoch, kind, [prefetched per task])
+    epoch = [None]
+
+    def tracking(original):
+        def play_and_ship(sessions, at_epoch, *args, **kwargs):
+            epoch[0] = at_epoch
+            return original(sessions, at_epoch, *args, **kwargs)
+        return play_and_ship
+
+    def counting(kind):
+        def run_fleet(tasks, jobs=None, worker=parallel.execute_spec):
+            tasks = list(tasks)
+            calls.append((epoch[0], kind, [(worker, task) in parallel
+                                           ._prefetched for task in tasks]))
+            return parallel.run_fleet(tasks, jobs=jobs, worker=worker)
+        return run_fleet
+
+    service = FleetService(
+        default_tenants(8, requests=8), topology=FleetTopology(num_nodes=4),
+        epochs=3, seed=1, chaos=NodeChaosPlan.parse("crash:1@180"),
+        registry=MetricsRegistry())
+    with mock.patch.object(fleet, "play_and_ship",
+                           tracking(fleet.play_and_ship)), \
+            mock.patch.object(daemon, "run_fleet", counting("play")), \
+            mock.patch.object(scheduler, "run_fleet", counting("audit")):
+        report = service.run(jobs=2)
+
+    plays = [hit for _, kind, hits in calls if kind == "play"
+             for hit in hits]
+    assert len(plays) == 24 and all(plays)
+    for undamaged in (1, 2):
+        audits = [hit for at, kind, hits in calls
+                  if kind == "audit" and at == undamaged for hit in hits]
+        assert audits and all(audits)
+    misses = [(at, len(hits)) for at, _, hits in calls for hit in hits
+              if not hit]
+    assert misses == [(0, 1)]
+    assert [(e.epoch, e.kind) for e in service.sink.events
+            if e.cause.startswith("spot-anomaly")] == [(0, "escalated")]
+    assert sum(len(hits) for _, _, hits in calls) == 65
+    assert report.flagged_tenants == ["tenant-01"]
+    assert report.rebalances and not parallel._prefetched

@@ -11,18 +11,24 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 from contextlib import contextmanager
+from unittest import mock
 
+from repro.analysis import parallel
 from repro.analysis.experiment import NfsTrafficModel, run_detector_matrix
 from repro.analysis.parallel import (MachineSpec, ObservedExecution,
                                      _compiled, _workload, default_jobs,
-                                     execute_spec, run_fleet,
-                                     run_fleet_observed)
+                                     execute_spec, prefetch, prefetching,
+                                     run_fleet, run_fleet_observed)
 from repro.channels import Ipctc, Trctc
 from repro.detectors import all_statistical_detectors
 from repro.machine import MachineConfig
 from repro.obs.metrics import EMPTY_SNAPSHOT, NullRegistry
 from repro.obs.snapshot import EMPTY_OBS_SNAPSHOT, ObsSnapshot
+from repro.service import FleetService, FleetTopology, default_tenants
+from repro.service import fleet as service_fleet
+from repro.service.scheduler import ReplayTask, execute_replay_task
 
 REQUESTS = 5
 
@@ -52,6 +58,13 @@ def _probe(spec):
     result = execute_spec(spec)
     return (os.getpid(), os.environ.get("REPRO_NO_BATCH"),
             (result.total_cycles, result.instructions, result.tx))
+
+
+def _slow_probe(spec):
+    """Top-level worker: :func:`_probe`, after a pause long enough that
+    a test acting right after submitting finds the task unfinished."""
+    time.sleep(0.3)
+    return _probe(spec)
 
 
 def _probe_specs(n=4):
@@ -230,3 +243,124 @@ def test_killed_worker_falls_back_to_serial_then_reforks():
     assert [facts for _, _, facts in after_kill] == serial
     assert [facts for _, _, facts in later] == serial
     assert {pid for pid, _, _ in later}.isdisjoint({victim, os.getpid()})
+
+
+# -- prefetch ---------------------------------------------------------------
+
+def _kvstore_specs(n=3):
+    return [MachineSpec(program="kvstore", config=MachineConfig(), seed=seed,
+                        workload=f"kvstore:{500 + seed}:4")
+            for seed in range(n)]
+
+
+def test_prefetched_results_equal_the_serial_ones():
+    """Plays (``execute_spec``) and audits (``execute_replay_task``)
+    served from prefetched futures equal the ``jobs=1`` results, and
+    serving them empties the memo."""
+    plays = _kvstore_specs()
+    serial_plays = run_fleet(plays, jobs=1)
+    audits = [ReplayTask("kvstore", result.log.to_bytes(), MachineConfig(),
+                         seed=1, max_instructions=200_000_000)
+              for result in serial_plays]
+    serial_audits = run_fleet(audits, jobs=1, worker=execute_replay_task)
+    with _deadline(120), prefetching():
+        prefetch(plays, 2)
+        prefetch(audits, 2, worker=execute_replay_task)
+        assert len(parallel._prefetched) == len(plays) + len(audits)
+        served_plays = run_fleet(plays, jobs=2)
+        served_audits = run_fleet(audits, jobs=2,
+                                  worker=execute_replay_task)
+        assert not parallel._prefetched
+    assert [r.fingerprint() for r in served_plays] \
+        == [r.fingerprint() for r in serial_plays]
+    assert [(r.result.fingerprint(), r.diverged) for r in served_audits] \
+        == [(r.result.fingerprint(), r.diverged) for r in serial_audits]
+
+
+def test_prefetching_cancels_or_waits_for_what_nobody_asked_for():
+    specs = _probe_specs(6)
+    with _deadline(120):
+        with prefetching():
+            prefetch(specs, 2, worker=_slow_probe)
+            futures = list(parallel._prefetched.values())
+        assert not parallel._prefetched
+    assert len(futures) == 6
+    assert all(f.done() and not f.running() for f in futures)
+    assert any(f.cancelled() for f in futures)   # queued, never started
+
+
+def test_fleet_run_leaves_no_prefetched_work():
+    """After ``FleetService.run(jobs=2)`` the memo is empty and no
+    prefetched future is pending or running."""
+    futures = []
+
+    def recording(original):
+        def prefetch(*args, **kwargs):
+            original(*args, **kwargs)
+            futures.extend(parallel._prefetched.values())
+        return prefetch
+
+    service = FleetService(default_tenants(3, requests=4),
+                           topology=FleetTopology(num_nodes=2), epochs=2,
+                           seed=3)
+    with _deadline(120), mock.patch.object(
+            service_fleet, "prefetch", recording(service_fleet.prefetch)):
+        service.run(jobs=2)
+    assert futures
+    assert not parallel._prefetched
+    assert all(f.done() and not f.running() for f in futures)
+
+
+def test_killed_worker_drops_the_memo():
+    """Workers killed under prefetched tasks break their futures: the
+    call drops the pool with its memo and returns the serial results,
+    computed in this process."""
+    specs = _probe_specs()
+    serial = [facts for _, _, facts in run_fleet(specs, jobs=1,
+                                                 worker=_probe)]
+    with _deadline(120), prefetching():
+        prefetch(specs, 2, worker=_slow_probe)
+        for pid in list(parallel._pool._processes):
+            os.kill(pid, signal.SIGKILL)
+        out = run_fleet(specs, jobs=2, worker=_slow_probe)
+        assert not parallel._prefetched
+        assert parallel._pool is None
+    assert [facts for _, _, facts in out] == serial
+    assert {pid for pid, _, _ in out} == {os.getpid()}
+
+
+def test_repro_switch_flipped_after_prefetch_drops_the_memo(monkeypatch):
+    """Futures prefetched under one ``REPRO_*`` environment are not
+    served to a call made under another: the call drops them with the
+    pool, and fresh workers that see the switch return the serial
+    results."""
+    specs = _probe_specs()
+    serial = [facts for _, _, facts in run_fleet(specs, jobs=1,
+                                                 worker=_probe)]
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    with _deadline(120), prefetching():
+        prefetch(specs, 2, worker=_probe)
+        monkeypatch.setenv("REPRO_NO_BATCH", "1")
+        out = run_fleet(specs, jobs=2, worker=_probe)
+        assert not parallel._prefetched
+    assert {seen for _, seen, _ in out} == {"1"}
+    assert [facts for _, _, facts in out] == serial
+
+
+def test_task_without_a_prefetched_future_runs_as_before():
+    """Only prefetched tasks are served from the pool's futures: a lone
+    other task runs in this process, as a one-task call always has, and
+    several go to the pool; results stay in submission order."""
+    specs = _probe_specs()
+    serial = [facts for _, _, facts in run_fleet(specs, jobs=1,
+                                                 worker=_probe)]
+    with _deadline(120), prefetching():
+        prefetch(specs[:3], 2, worker=_probe)
+        mixed = run_fleet(specs, jobs=2, worker=_probe)
+        assert not parallel._prefetched
+        pooled = run_fleet(specs[1:], jobs=2, worker=_probe)
+    assert [facts for _, _, facts in mixed] == serial
+    assert [facts for _, _, facts in pooled] == serial[1:]
+    assert os.getpid() not in {pid for pid, _, _ in mixed[:3] + pooled}
+    assert mixed[3][0] == os.getpid()
+    assert parallel._prefetched == {}

@@ -284,6 +284,27 @@ class TestExitCodeContract:
         assert match.group(1) in listing
         assert "fleet-audit" in listing
 
+    def test_stored_serve_run_re_renders_its_tables(self, tmp_path, capsys):
+        """``report`` prints a stored fleet run's node and tenant tables
+        as the run printed them, not its verdicts as one dict line."""
+        def tables(out):
+            lines = out.splitlines()
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith("  node "))
+            end = next(i for i, line in enumerate(lines)
+                       if line.startswith("  flagged: "))
+            return lines[start:end + 1]
+
+        assert main(["serve", "--tenants", "3", "--epochs", "2",
+                     "--store", str(tmp_path)]) == 1
+        printed = tables(capsys.readouterr().out)
+        assert main(["report", "--latest", "1", "--store", str(tmp_path),
+                     "--out", str(tmp_path / "x.html")]) == 0
+        out = capsys.readouterr().out
+        assert tables(out) == printed
+        assert any(line.startswith("  tenant-01 ") for line in printed)
+        assert max(len(line) for line in out.splitlines()) <= 200
+
     def test_serve_is_the_one_node_fleet_audit(self, capsys):
         flags = ["--tenants", "3", "--epochs", "2", "--requests", "4",
                  "--workers", "3"]
