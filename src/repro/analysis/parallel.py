@@ -330,11 +330,9 @@ def run_fleet(tasks: Sequence, jobs: int | None = None,
         jobs = default_jobs()
     if jobs <= 1:
         return [worker(task) for task in tasks]
-    repro_env = None
     futures = [None] * len(tasks)
     if _prefetched:
-        repro_env = _repro_env()
-        if _key(jobs, repro_env) == _pool_key:
+        if _key(jobs, _repro_env()) == _pool_key:
             futures = [_prefetched_future(worker, task) for task in tasks]
         else:
             _drop_pool()
@@ -344,8 +342,7 @@ def run_fleet(tasks: Sequence, jobs: int | None = None,
         if fresh is None:
             # Submission order in, submission order out: map() yields in
             # input order whatever the completion order.
-            fresh = _worker_pool(jobs, _repro_env() if repro_env is None
-                                 else repro_env).map(worker, rest)
+            fresh = _worker_pool(jobs, _repro_env()).map(worker, rest)
         fresh = iter(fresh)
         results = [next(fresh) if future is None else future.result()
                    for future in futures]

@@ -278,13 +278,15 @@ def test_prefetched_results_equal_the_serial_ones():
 
 
 def test_prefetching_cancels_or_waits_for_what_nobody_asked_for():
-    specs = _probe_specs(6)
+    # Two workers start at most five of eight tasks (two running, three
+    # in the pool's call queue) before the block ends.
+    specs = _probe_specs(8)
     with _deadline(120):
         with prefetching():
             prefetch(specs, 2, worker=_slow_probe)
             futures = list(parallel._prefetched.values())
         assert not parallel._prefetched
-    assert len(futures) == 6
+    assert len(futures) == 8
     assert all(f.done() and not f.running() for f in futures)
     assert any(f.cancelled() for f in futures)   # queued, never started
 
